@@ -93,7 +93,7 @@ func run(args []string) error {
 	leaseTTL := fs.Duration("lease-ttl", 15*time.Second,
 		"coordinator lease validity window; a worker silent past it has its leases reassigned")
 	pollInterval := fs.Duration("poll", 500*time.Millisecond,
-		"idle polling cadence the coordinator suggests to workers")
+		fmt.Sprintf("coordinator hold window of an idle worker's lease request: the request is answered as soon as work arrives, or empty once the window elapses and the worker asks again (must be below the workers' %v request timeout)", cluster.RequestTimeout))
 	shardSize := fs.Int("shard", 0, "repetitions per worker lease (0 means automatic)")
 	stateDir := fs.String("state-dir", "",
 		"directory for the durable run ledger and coordinator journal; in-flight runs are re-adopted after a crash or restart (empty disables durability)")
@@ -127,6 +127,9 @@ func run(args []string) error {
 	}
 	if *burst > 0 && *rate <= 0 {
 		return errors.New("-burst requires -rate")
+	}
+	if *pollInterval >= cluster.RequestTimeout {
+		return fmt.Errorf("-poll must be below the workers' %v request timeout, got %v", cluster.RequestTimeout, *pollInterval)
 	}
 	logger, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
 	if err != nil {

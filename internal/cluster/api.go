@@ -37,7 +37,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	lease, err := c.grantLease(req.WorkerID)
+	lease, err := c.awaitLease(r.Context(), req.WorkerID)
 	if err != nil {
 		writeProtocolError(w, err)
 		return

@@ -176,20 +176,7 @@ func TestClusterLeaseExpiryReassignment(t *testing.T) {
 		runDone <- outcome{res, err}
 	}()
 
-	var lease *Lease
-	for deadline := time.Now().Add(5 * time.Second); lease == nil; {
-		var err error
-		lease, err = coord.grantLease(dead.WorkerID)
-		if err != nil {
-			t.Fatalf("grant to vanishing worker: %v", err)
-		}
-		if lease == nil {
-			if time.Now().After(deadline) {
-				t.Fatal("run never offered a lease")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
+	lease := waitLease(t, coord, dead.WorkerID)
 	if lease.Start != 0 {
 		t.Fatalf("vanishing worker leased [%d,%d), want the frontier shard [0,25)", lease.Start, lease.Start+lease.Count)
 	}
@@ -250,37 +237,34 @@ func TestClusterLeaseExpiryReassignment(t *testing.T) {
 }
 
 // TestClusterFamilyGating: a worker restricted to another family is never
-// offered the run; an unrestricted worker is.
+// offered the run; an unrestricted worker is. The gated worker's held request
+// is woken by the incompatible run, finds nothing it may run, and stays held
+// until its window runs out.
 func TestClusterFamilyGating(t *testing.T) {
-	coord := newTestCoordinator(t, Config{LeaseTTL: 5 * time.Second, PollInterval: 5 * time.Millisecond, ShardSize: 10})
+	const window = 500 * time.Millisecond
+	coord := newTestCoordinator(t, Config{LeaseTTL: time.Minute, PollInterval: window, ShardSize: 10})
 	defer coord.Close()
-
+	holds := holdEvents(coord)
 	gated := coord.register(RegisterRequest{Name: "gated", CPUs: 1, Families: []string{"gnrho"}})
 	open := coord.register(RegisterRequest{Name: "open", CPUs: 1})
 
+	answer := askLease(context.Background(), coord, gated.WorkerID)
+	awaitHold(t, holds)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	runDone := make(chan error, 1)
-	go func() {
-		_, err := coord.Run(ctx, testRun(t, 48, 10, 1))
-		runDone <- err
-	}()
-
-	// Wait until the run is offering leases at all...
-	var probe *Lease
-	for deadline := time.Now().Add(5 * time.Second); probe == nil; {
-		var err error
-		probe, err = coord.grantLease(open.WorkerID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if probe == nil && time.Now().After(deadline) {
-			t.Fatal("run never offered a lease")
-		}
+	runDone := startRun(ctx, coord, testRun(t, 48, 10, 1))
+	// The clique run wakes the gated request, which is held again.
+	awaitHold(t, holds)
+	if l := waitLease(t, coord, open.WorkerID); l.Start != 0 {
+		t.Errorf("open worker got [%d,%d), want [0,10)", l.Start, l.Start+l.Count)
 	}
-	// ...then confirm the gated worker is still refused.
-	if l, err := coord.grantLease(gated.WorkerID); err != nil || l != nil {
-		t.Errorf("gated worker got lease %v, err %v; want none", l, err)
+
+	got := receive(t, answer)
+	if got.err != nil || got.lease != nil {
+		t.Errorf("gated worker got lease %v, err %v; want none", got.lease, got.err)
+	}
+	if got.waited < window {
+		t.Errorf("gated worker was answered after %v, before the %v window", got.waited, window)
 	}
 	cancel()
 	if err := <-runDone; err == nil {
@@ -300,17 +284,7 @@ func TestClusterIntegrityCheck(t *testing.T) {
 		_, err := coord.Run(context.Background(), testRun(t, 48, 10, 1))
 		runDone <- err
 	}()
-	var lease *Lease
-	for deadline := time.Now().Add(5 * time.Second); lease == nil; {
-		var err error
-		lease, err = coord.grantLease(w.WorkerID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lease == nil && time.Now().After(deadline) {
-			t.Fatal("run never offered a lease")
-		}
-	}
+	lease := waitLease(t, coord, w.WorkerID)
 	resp, err := coord.result(ResultRequest{
 		WorkerID:  w.WorkerID,
 		LeaseID:   lease.ID,
@@ -371,7 +345,7 @@ func TestWorkerPipelinesLeaseClaims(t *testing.T) {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/cluster/register", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(RegisterResponse{WorkerID: "w1", LeaseTTLMillis: 60_000, PollMillis: 5})
+		json.NewEncoder(w).Encode(RegisterResponse{WorkerID: "w1", LeaseTTLMillis: 60_000})
 	})
 	mux.HandleFunc("/v1/cluster/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(HeartbeatResponse{})

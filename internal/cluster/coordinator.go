@@ -24,8 +24,13 @@ type Config struct {
 	// neither heartbeats nor uploads within it is presumed dead: its leases
 	// return to the pool and its registration is forgotten.
 	LeaseTTL time.Duration
-	// PollInterval is the idle polling cadence suggested to workers
-	// (<= 0 selects 500ms).
+	// PollInterval is the hold window of a lease request (<= 0 selects
+	// 500ms). A request that finds no compatible pending shard is held open
+	// until a run or a reclaimed lease adds one, and is answered null only
+	// when the window runs out; the worker then asks again at once. So the
+	// window bounds how long one idle request stays open, never how long new
+	// work waits for a worker. It must stay below the workers' HTTP timeout
+	// (RequestTimeout for workers built with the default client).
 	PollInterval time.Duration
 	// ShardSize is the repetition count per lease (<= 0 selects an automatic
 	// size: a batch of engine chunks large enough to amortize the HTTP round
@@ -69,6 +74,12 @@ type Coordinator struct {
 	nextLease  int
 	reassigned int64
 	closed     bool
+	// wake is closed (and replaced) whenever shards join a pending pool, so
+	// every held lease request re-checks the pools at once.
+	wake chan struct{}
+	// onHold, when set (tests only), is called each time a lease request
+	// starts waiting on wake.
+	onHold func()
 
 	// Crash-recovery journal state (nil / empty without Config.StateDir).
 	journal        *store.Journal
@@ -150,6 +161,7 @@ func New(cfg Config) (*Coordinator, error) {
 		workers:   make(map[string]*workerState),
 		runs:      make(map[string]*clusterRun),
 		leases:    make(map[string]*lease),
+		wake:      make(chan struct{}),
 		recovered: make(map[string]*recoveredRun),
 		sweepStop: make(chan struct{}),
 		sweepDone: make(chan struct{}),
@@ -289,6 +301,8 @@ func (c *Coordinator) Run(ctx context.Context, run service.BackendRun) (service.
 		c.journalRunEndLocked(r)
 		close(r.done)
 		c.log.Info("cluster: run complete from journal alone", "run", r.id, "trace", r.trace.ID(), "reps", r.reps)
+	} else {
+		c.wakeLocked()
 	}
 	c.mu.Unlock()
 	if replayed > 0 && run.Observe != nil {
@@ -379,16 +393,54 @@ func (c *Coordinator) register(req RegisterRequest) RegisterResponse {
 	return RegisterResponse{
 		WorkerID:       w.id,
 		LeaseTTLMillis: c.ttl.Milliseconds(),
-		PollMillis:     c.poll.Milliseconds(),
 	}
 }
 
-// grantLease hands the worker the lowest-start pending shard of the oldest
-// compatible run. Granting lowest start first keeps uploads near the merge
-// frontier, bounding the merger's buffer of ahead-of-frontier chunks.
-func (c *Coordinator) grantLease(workerID string) (*Lease, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// wakeLocked releases every held lease request to re-check the pending
+// pools. Callers hold the mutex and have just added pending shards.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// awaitLease answers a lease request. With a compatible shard pending it
+// grants one at once; otherwise it holds the request until shards are added
+// (Run, or a lease-expiry requeue) and one can be granted, and answers nil
+// only when the poll window has elapsed. A request whose context is done —
+// the worker gave up or went away — is granted nothing, so no lease is
+// stranded on a requester that will never see it.
+func (c *Coordinator) awaitLease(ctx context.Context, workerID string) (*Lease, error) {
+	window := time.NewTimer(c.poll)
+	defer window.Stop()
+	for {
+		if ctx.Err() != nil {
+			return nil, nil
+		}
+		c.mu.Lock()
+		lease, err := c.grantLeaseLocked(workerID)
+		wake := c.wake
+		c.mu.Unlock()
+		if lease != nil || err != nil {
+			return lease, err
+		}
+		if c.onHold != nil {
+			c.onHold()
+		}
+		select {
+		case <-wake:
+		case <-window.C:
+			return nil, nil
+		case <-ctx.Done():
+			return nil, nil
+		}
+	}
+}
+
+// grantLeaseLocked hands the worker the lowest-start pending shard of the
+// oldest compatible run, or nil when none is pending. Granting lowest start
+// first keeps uploads near the merge frontier, bounding the merger's buffer
+// of ahead-of-frontier chunks. Callers hold the mutex.
+func (c *Coordinator) grantLeaseLocked(workerID string) (*Lease, error) {
 	w, ok := c.workers[workerID]
 	if !ok {
 		return nil, errUnknownWorker
@@ -456,7 +508,10 @@ func (c *Coordinator) heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 // or its run already settled — are acknowledged and discarded, which is what
 // makes duplicate execution after a reclaim harmless.
 func (c *Coordinator) result(req ResultRequest) (ResultResponse, error) {
-	var notify func()
+	var (
+		notify func()
+		done   chan struct{} // closed once notify has run
+	)
 	c.mu.Lock()
 	w, ok := c.workers[req.WorkerID]
 	if !ok {
@@ -490,13 +545,18 @@ func (c *Coordinator) result(req ResultRequest) (ResultResponse, error) {
 			r.finished = true
 			c.removeRunLocked(r)
 			c.journalRunEndLocked(r)
-			close(r.done)
+			done = r.done
 			c.log.Info("cluster: run complete", "run", r.id, "trace", r.trace.ID(), "reps", r.reps)
 		}
 	}
 	c.mu.Unlock()
 	if notify != nil {
 		notify()
+	}
+	if done != nil {
+		// Settling the run after its last progress report means Run never
+		// returns with repetitions still unreported.
+		close(done)
 	}
 	return ResultResponse{}, nil
 }
@@ -629,7 +689,8 @@ func (c *Coordinator) sweepOnce(now time.Time) {
 }
 
 // requeueShardLocked reinserts a reclaimed shard into the run's pending
-// pool, keeping it sorted by start. Callers hold the mutex.
+// pool, keeping it sorted by start, and wakes held lease requests. Callers
+// hold the mutex.
 func (c *Coordinator) requeueShardLocked(r *clusterRun, sh shard) {
 	if r.finished {
 		return
@@ -638,6 +699,7 @@ func (c *Coordinator) requeueShardLocked(r *clusterRun, sh shard) {
 	r.pending = append(r.pending, shard{})
 	copy(r.pending[i+1:], r.pending[i:])
 	r.pending[i] = sh
+	c.wakeLocked()
 }
 
 // ClusterStats exports the coordinator gauges into the service /metrics

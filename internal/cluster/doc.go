@@ -8,16 +8,27 @@
 // plain rumord processes started with -worker -join <coordinator>; each
 // executes its leased range on the local batch engine via
 // engine.RunReduceRangeCtx, which reproduces exactly the repetition streams a
-// single-node run would have used for those indices.
+// single-node run would have used for those indices. A worker compiles a
+// run's scenario once and reuses it for every further shard of that run it
+// executes.
 //
 // # Protocol
 //
 // Workers speak JSON over HTTP to four coordinator endpoints:
 //
 //	POST /v1/cluster/register   announce capabilities, obtain a worker ID
-//	POST /v1/cluster/lease      request a repetition-range lease
+//	POST /v1/cluster/lease      request a repetition-range lease (held)
 //	POST /v1/cluster/heartbeat  renew liveness and held leases
 //	POST /v1/cluster/result     upload a completed range
+//
+// A lease request is held: when nothing the worker can run is pending, the
+// coordinator keeps the request open and grants a lease as soon as a new run
+// or a reclaimed lease adds shards, answering null only once the poll window
+// (Config.PollInterval) has elapsed. The worker then asks again at once, so
+// an idle worker's only wait is one held request and new work starts without
+// a polling delay. This is why a coordinator and its workers must run the
+// same version: a worker facing a coordinator that answers null at once
+// would re-ask without pause.
 //
 // Leases carry the run's canonical scenario document, its seed, and a
 // [start, start+count) repetition range. A lease is valid for the

@@ -20,15 +20,15 @@ type RegisterRequest struct {
 	Families []string `json:"families,omitempty"`
 }
 
-// RegisterResponse assigns the worker its identity and cadence.
+// RegisterResponse assigns the worker its identity and heartbeat cadence.
+// It carries no polling interval: lease requests are held by the
+// coordinator (see LeaseResponse), so a worker never sleeps between them.
 type RegisterResponse struct {
 	// WorkerID names the worker in every subsequent request.
 	WorkerID string `json:"worker_id"`
 	// LeaseTTLMillis is the lease validity window; the worker must heartbeat
 	// well within it or its leases are reclaimed.
 	LeaseTTLMillis int64 `json:"lease_ttl_ms"`
-	// PollMillis is the suggested idle polling interval for lease requests.
-	PollMillis int64 `json:"poll_ms"`
 }
 
 // LeaseRequest asks for work.
@@ -61,9 +61,13 @@ type Lease struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// LeaseResponse carries the granted lease, or null when no work is pending
-// (or none the worker's families cover) — the worker sleeps PollMillis and
-// asks again.
+// LeaseResponse carries the granted lease, or null. A lease request is held:
+// when no work the worker's families cover is pending, the coordinator keeps
+// the request open and grants a lease the moment a run or a reclaimed lease
+// adds one, answering null only when its poll window (rumord -poll) has
+// elapsed with nothing to grant. The worker asks again at once on null, so a
+// coordinator and its workers must run the same rumord version: a worker
+// talking to a coordinator that answers at once would re-ask without pause.
 type LeaseResponse struct {
 	Lease *Lease `json:"lease"`
 }

@@ -40,10 +40,14 @@ func executeLease(t *testing.T, lease *Lease) ResultRequest {
 	if err != nil {
 		t.Fatal(err)
 	}
+	compiled, err := engine.Compile(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := engine.Engine{Parallelism: 2, Seed: lease.Seed}
 	values := make([]float64, 0, lease.Count)
 	completed := 0
-	err = eng.RunReduceRangeCtx(context.Background(), sc, lease.Start, lease.Count, func(rep int, res *sim.Result) error {
+	err = eng.RunReduceRangeCtx(context.Background(), compiled, lease.Start, lease.Count, func(rep int, res *sim.Result) error {
 		values = append(values, res.SpreadTime)
 		if res.Completed {
 			completed++
@@ -64,11 +68,12 @@ func executeLease(t *testing.T, lease *Lease) ResultRequest {
 	return ResultRequest{LeaseID: lease.ID, Values: values, Completed: completed, Stream: blob}
 }
 
-// waitLease polls grantLease until the coordinator offers work.
+// waitLease asks for a lease until the coordinator grants one; each request
+// is held for up to the coordinator's poll window.
 func waitLease(t *testing.T, coord *Coordinator, workerID string) *Lease {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		lease, err := coord.grantLease(workerID)
+		lease, err := coord.awaitLease(context.Background(), workerID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +83,6 @@ func waitLease(t *testing.T, coord *Coordinator, workerID string) *Lease {
 		if time.Now().After(deadline) {
 			t.Fatal("run never offered a lease")
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -32,12 +32,19 @@ type WorkerConfig struct {
 	// Families restricts the worker to the named network families; nil
 	// announces support for every family.
 	Families []string
-	// Client overrides the HTTP client (nil selects one with a 30s timeout).
+	// Client overrides the HTTP client (nil selects one with RequestTimeout).
+	// Its timeout must exceed the coordinator's hold window
+	// (Config.PollInterval), or idle lease requests time out.
 	Client *http.Client
 	// Logger, when non-nil, receives worker lifecycle events as structured
 	// log lines; nil discards them.
 	Logger *slog.Logger
 }
+
+// RequestTimeout is the HTTP timeout of a worker's protocol requests when
+// WorkerConfig.Client is nil. A held lease request stays open for up to the
+// coordinator's poll window, so that window must stay below it.
+const RequestTimeout = 30 * time.Second
 
 // Worker executes leased repetition ranges for a coordinator. Create with
 // NewWorker and drive with Run; the worker registers itself, heartbeats, and
@@ -53,8 +60,14 @@ type Worker struct {
 	mu   sync.Mutex
 	id   string
 	ttl  time.Duration
-	poll time.Duration
 	held map[string]context.CancelFunc // lease ID -> abandon
+
+	// compiled is the last lease's compiled scenario, keyed by its canonical
+	// bytes (compiledFor): a run's shards share one scenario, so the worker
+	// builds the run's network once rather than once per shard, and the one
+	// entry bounds memory to one network. Touched only by the Run loop.
+	compiledFor []byte
+	compiled    *engine.Compiled
 }
 
 // NewWorker returns an unstarted worker.
@@ -69,7 +82,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		held:     make(map[string]context.CancelFunc),
 	}
 	if w.client == nil {
-		w.client = &http.Client{Timeout: 30 * time.Second}
+		w.client = &http.Client{Timeout: RequestTimeout}
 	}
 	if w.log == nil {
 		w.log = obs.NopLogger()
@@ -82,7 +95,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 var errStaleWorker = errors.New("cluster: coordinator does not know this worker")
 
 // Run is the worker loop: register, heartbeat in the background, and
-// poll-execute-upload leases until ctx is cancelled. It returns ctx.Err()
+// claim-execute-upload leases until ctx is cancelled. A lease request is
+// held by the coordinator until work arrives or its poll window runs out, so
+// an empty answer is re-asked at once, without a sleep. It returns ctx.Err()
 // on cancellation; transient coordinator failures are retried with backoff,
 // never surfaced.
 func (w *Worker) Run(ctx context.Context) error {
@@ -100,9 +115,9 @@ func (w *Worker) Run(ctx context.Context) error {
 	}()
 	defer hbDone.Wait()
 
-	// Consecutive lease-poll failures back off with full jitter instead of
-	// hammering a coordinator that is down or restarting; any success (or a
-	// quiet "no work" answer) resets the sequence.
+	// Consecutive lease-request failures back off with full jitter instead
+	// of hammering a coordinator that is down or restarting; any success (or
+	// a quiet "no work" answer) resets the sequence.
 	leaseRetry := retry.Policy{Base: 100 * time.Millisecond, Cap: 5 * time.Second}
 	failures := 0
 	// next is the double-buffered lease: while a shard executes, one request
@@ -145,9 +160,6 @@ func (w *Worker) Run(ctx context.Context) error {
 				continue
 			case lease == nil:
 				failures = 0
-				if !retry.Sleep(ctx, w.pollInterval()) {
-					return ctx.Err()
-				}
 				continue
 			}
 			hl = w.acquire(ctx, lease)
@@ -187,10 +199,10 @@ func (w *Worker) release(hl *heldLease) {
 	hl.cancel()
 }
 
-// prefetchLease makes one (non-retried) claim attempt for the next lease
-// while the current shard executes. Failures and empty answers deliver nil
-// and the main loop falls back to its ordinary polling path, with its usual
-// backoff and re-registration handling.
+// prefetchLease makes one (non-retried) held claim for the next lease while
+// the current shard executes. Failures and empty answers deliver nil and the
+// main loop falls back to its ordinary claim path, with its usual backoff
+// and re-registration handling.
 func (w *Worker) prefetchLease(ctx context.Context, out chan<- *heldLease) {
 	lease, err := w.requestLease(ctx)
 	if err != nil || lease == nil {
@@ -221,7 +233,6 @@ func (w *Worker) register(ctx context.Context) error {
 		w.mu.Lock()
 		w.id = resp.WorkerID
 		w.ttl = time.Duration(resp.LeaseTTLMillis) * time.Millisecond
-		w.poll = time.Duration(resp.PollMillis) * time.Millisecond
 		w.mu.Unlock()
 		w.log.Info("worker: registered", "worker", resp.WorkerID, "lease_ttl_ms", resp.LeaseTTLMillis)
 		return nil
@@ -316,14 +327,14 @@ func (w *Worker) execute(ctx context.Context, hl *heldLease) {
 // executeRange runs the lease's repetition range, collecting the raw
 // spread-time observations in repetition order.
 func (w *Worker) executeRange(ctx context.Context, lease *Lease) ([]float64, int, error) {
-	sc, err := engine.Parse(lease.Scenario)
+	compiled, err := w.compile(lease.Scenario)
 	if err != nil {
 		return nil, 0, err
 	}
 	eng := engine.Engine{Parallelism: w.cpus, Seed: lease.Seed}
 	values := make([]float64, 0, lease.Count)
 	completed := 0
-	err = eng.RunReduceRangeCtx(ctx, sc, lease.Start, lease.Count, func(rep int, res *sim.Result) error {
+	err = eng.RunReduceRangeCtx(ctx, compiled, lease.Start, lease.Count, func(rep int, res *sim.Result) error {
 		values = append(values, res.SpreadTime)
 		if res.Completed {
 			completed++
@@ -334,6 +345,24 @@ func (w *Worker) executeRange(ctx context.Context, lease *Lease) ([]float64, int
 		return nil, 0, err
 	}
 	return values, completed, nil
+}
+
+// compile returns the compiled form of a lease's canonical scenario,
+// reusing the previous lease's when the bytes are equal.
+func (w *Worker) compile(scenario []byte) (*engine.Compiled, error) {
+	if w.compiled != nil && bytes.Equal(scenario, w.compiledFor) {
+		return w.compiled, nil
+	}
+	sc, err := engine.Parse(scenario)
+	if err != nil {
+		return nil, err
+	}
+	compiled, err := engine.Compile(sc)
+	if err != nil {
+		return nil, err
+	}
+	w.compiledFor, w.compiled = scenario, compiled
+	return compiled, nil
 }
 
 // upload posts a result with jittered, bounded retries; a stale
@@ -366,7 +395,8 @@ func (w *Worker) upload(ctx context.Context, result ResultRequest, trace string)
 	}
 }
 
-// requestLease polls the coordinator for work.
+// requestLease asks the coordinator for work; the coordinator holds the
+// request until a lease can be granted or its poll window runs out.
 func (w *Worker) requestLease(ctx context.Context) (*Lease, error) {
 	var resp LeaseResponse
 	if err := w.post(ctx, "/v1/cluster/lease", LeaseRequest{WorkerID: w.workerID()}, &resp); err != nil {
@@ -407,15 +437,6 @@ func (w *Worker) leaseTTL() time.Duration {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.ttl
-}
-
-func (w *Worker) pollInterval() time.Duration {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.poll <= 0 {
-		return 500 * time.Millisecond
-	}
-	return w.poll
 }
 
 // post sends one protocol request and decodes the response into out.

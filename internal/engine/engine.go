@@ -179,19 +179,18 @@ func (e Engine) runReduceCompiled(ctx context.Context, cs *compiledScenario, rep
 }
 
 // RunReduceRangeCtx executes only the repetition range [start, start+count)
-// of a larger ensemble: the reducer receives global repetition indices, and
-// repetition i's result is bit-identical to what RunReduceCtx would have
-// handed the reducer for repetition i of a full run with the same seed. This
-// is the shard-execution entry point of the distributed service
-// (internal/cluster): a worker needs nothing but (scenario, seed, start,
-// count) to reproduce its slice of the ensemble exactly, so shards can be
-// re-executed on any node — after a worker death, say — without changing the
-// merged result.
-func (e Engine) RunReduceRangeCtx(ctx context.Context, sc Scenario, start, count int, reduce Reducer) error {
-	cs, err := compileScenario(sc)
-	if err != nil {
-		return err
-	}
+// of a larger ensemble of an already-compiled scenario: the reducer receives
+// global repetition indices, and repetition i's result is bit-identical to
+// what RunReduceCtx would have handed the reducer for repetition i of a full
+// run with the same seed. This is the shard-execution entry point of the
+// distributed service (internal/cluster): a worker needs nothing but
+// (scenario, seed, start, count) to reproduce its slice of the ensemble
+// exactly, so shards can be re-executed on any node — after a worker death,
+// say — without changing the merged result. Taking the compiled scenario,
+// like RunReduceCompiledCtx, lets a worker compile a run's scenario once for
+// all of the run's shards it executes.
+func (e Engine) RunReduceRangeCtx(ctx context.Context, c *Compiled, start, count int, reduce Reducer) error {
+	cs := c.cs
 	if start < 0 {
 		return fmt.Errorf("engine: range start must be >= 0, got %d", start)
 	}

@@ -39,13 +39,17 @@ func TestRunReduceRangeMatchesFullRun(t *testing.T) {
 			t.Fatalf("%s: full run: %v", sc.Network.Family, err)
 		}
 
+		c, err := Compile(sc)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", sc.Network.Family, err)
+		}
 		cuts := []int{0, 5, 6, 20, reps}
 		for _, parallelism := range []int{1, 4} {
 			got := make([]repRecord, 0, reps)
 			for i := 0; i+1 < len(cuts); i++ {
 				start, count := cuts[i], cuts[i+1]-cuts[i]
 				eng := Engine{Parallelism: parallelism, Seed: 7, ChunkSize: 3}
-				if err := eng.RunReduceRangeCtx(context.Background(), sc, start, count, func(rep int, res *sim.Result) error {
+				if err := eng.RunReduceRangeCtx(context.Background(), c, start, count, func(rep int, res *sim.Result) error {
 					if rep != len(got) {
 						t.Fatalf("%s: reducer saw rep %d, want %d", sc.Network.Family, rep, len(got))
 					}
@@ -67,13 +71,16 @@ func TestRunReduceRangeMatchesFullRun(t *testing.T) {
 
 // TestRunReduceRangeValidation pins the argument contract.
 func TestRunReduceRangeValidation(t *testing.T) {
-	sc := Scenario{Network: NetworkSpec{Family: "clique", Params: map[string]float64{"n": 8}}}
+	c, err := Compile(Scenario{Network: NetworkSpec{Family: "clique", Params: map[string]float64{"n": 8}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := Engine{Seed: 1}
 	discard := func(int, *sim.Result) error { return nil }
-	if err := eng.RunReduceRangeCtx(context.Background(), sc, -1, 4, discard); err == nil {
+	if err := eng.RunReduceRangeCtx(context.Background(), c, -1, 4, discard); err == nil {
 		t.Error("negative start accepted")
 	}
-	if err := eng.RunReduceRangeCtx(context.Background(), sc, 0, 0, discard); err == nil {
+	if err := eng.RunReduceRangeCtx(context.Background(), c, 0, 0, discard); err == nil {
 		t.Error("zero count accepted")
 	}
 }

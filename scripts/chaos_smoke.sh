@@ -26,7 +26,7 @@ go build -o "$TMP/client" ./examples/client
 CHAOS='seed=11,drop=0.03,error=0.03,delay=5ms:0.10'
 
 start_coordinator() {
-    "$TMP/rumord" -cluster -addr "$COORD" -lease-ttl 2s -poll 25ms \
+    "$TMP/rumord" -cluster -addr "$COORD" -lease-ttl 2s \
         -state-dir "$TMP/state" -cache-dir "$TMP/cache" -chaos "$CHAOS" \
         >>"$TMP/coord.log" 2>&1 &
     COORD_PID=$!

@@ -19,9 +19,10 @@ go build -o "$TMP/rumord" ./cmd/rumord
 go build -o "$TMP/client" ./examples/client
 
 # A short lease TTL so the killed worker's range is reassigned within the
-# smoke's patience, not the production default's; a tight poll so the
-# workers pick up the run almost as soon as it is submitted.
-"$TMP/rumord" -cluster -addr "$COORD" -lease-ttl 2s -poll 25ms >"$TMP/coord.log" 2>&1 &
+# smoke's patience, not the production default's. The poll window stays at
+# its 500ms default: idle workers hold a lease request open, so they pick up
+# the run as soon as it is submitted.
+"$TMP/rumord" -cluster -addr "$COORD" -lease-ttl 2s >"$TMP/coord.log" 2>&1 &
 PIDS="$PIDS $!"
 "$TMP/rumord" -addr "$LOCAL" -budget 4 >"$TMP/local.log" 2>&1 &
 PIDS="$PIDS $!"
@@ -46,6 +47,19 @@ W1=$!
 PIDS="$PIDS $W1"
 "$TMP/rumord" -worker -join "http://$COORD" -name smoke-w2 >"$TMP/w2.log" 2>&1 &
 PIDS="$PIDS $!"
+
+# Hold the submission until both workers have registered, so it cannot be
+# refused 503 by the zero-workers fast-fail.
+i=0
+until curl -fsS "http://$COORD/metrics" 2>/dev/null | grep -q '"workers":2'; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+        echo "workers never registered; coordinator log:" >&2
+        cat "$TMP/coord.log" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
 
 submit() {
     "$TMP/client" -addr "http://$1" -family clique -sizes 256 -reps 10000 -seed 424 -raw
