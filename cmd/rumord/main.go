@@ -92,8 +92,6 @@ func run(args []string) error {
 	name := fs.String("name", "", "worker name reported to the coordinator (default: the hostname)")
 	leaseTTL := fs.Duration("lease-ttl", 15*time.Second,
 		"coordinator lease validity window; a worker silent past it has its leases reassigned")
-	pollInterval := fs.Duration("poll", 500*time.Millisecond,
-		fmt.Sprintf("coordinator hold window of an idle worker's lease request: the request is answered as soon as work arrives, or empty once the window elapses and the worker asks again (must be below the workers' %v request timeout)", cluster.RequestTimeout))
 	shardSize := fs.Int("shard", 0, "repetitions per worker lease (0 means automatic)")
 	stateDir := fs.String("state-dir", "",
 		"directory for the durable run ledger and coordinator journal; in-flight runs are re-adopted after a crash or restart (empty disables durability)")
@@ -127,9 +125,6 @@ func run(args []string) error {
 	}
 	if *burst > 0 && *rate <= 0 {
 		return errors.New("-burst requires -rate")
-	}
-	if *pollInterval >= cluster.RequestTimeout {
-		return fmt.Errorf("-poll must be below the workers' %v request timeout, got %v", cluster.RequestTimeout, *pollInterval)
 	}
 	logger, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
@@ -175,12 +170,11 @@ func run(args []string) error {
 	if *clusterMode {
 		var err error
 		coord, err = cluster.New(cluster.Config{
-			LeaseTTL:     *leaseTTL,
-			PollInterval: *pollInterval,
-			ShardSize:    *shardSize,
-			StateDir:     *stateDir,
-			Logger:       logger,
-			Observe:      reg,
+			LeaseTTL:  *leaseTTL,
+			ShardSize: *shardSize,
+			StateDir:  *stateDir,
+			Logger:    logger,
+			Observe:   reg,
 		})
 		if err != nil {
 			return err
@@ -215,6 +209,11 @@ func run(args []string) error {
 		return errors.New("-chaos requires -cluster (it injects faults at the cluster boundary)")
 	}
 	server := &http.Server{Addr: *addr, Handler: mux}
+	if coord != nil {
+		// Answer held lease requests at once, so they do not hold up the
+		// shutdown for their hold windows.
+		server.RegisterOnShutdown(coord.ReleaseHeld)
+	}
 
 	errc := make(chan error, 1)
 	go func() {

@@ -25,12 +25,13 @@ type Config struct {
 	// return to the pool and its registration is forgotten.
 	LeaseTTL time.Duration
 	// PollInterval is the hold window of a lease request (<= 0 selects
-	// 500ms). A request that finds no compatible pending shard is held open
-	// until a run or a reclaimed lease adds one, and is answered null only
-	// when the window runs out; the worker then asks again at once. So the
-	// window bounds how long one idle request stays open, never how long new
-	// work waits for a worker. It must stay below the workers' HTTP timeout
-	// (RequestTimeout for workers built with the default client).
+	// 500ms, the window rumord always uses). A request that finds no
+	// compatible pending shard is held open until a run or a reclaimed lease
+	// adds one, and is answered null only when the window runs out; the
+	// worker then asks again at once. So the window bounds how long one idle
+	// request stays open, never how long new work waits for a worker. It must
+	// stay well below the workers' 30s HTTP timeout. Only tests need another
+	// value; the field is slated for removal.
 	PollInterval time.Duration
 	// ShardSize is the repetition count per lease (<= 0 selects an automatic
 	// size: a batch of engine chunks large enough to amortize the HTTP round
@@ -74,11 +75,16 @@ type Coordinator struct {
 	nextLease  int
 	reassigned int64
 	closed     bool
-	// wake is closed (and replaced) whenever shards join a pending pool, so
-	// every held lease request re-checks the pools at once.
-	wake chan struct{}
+	// held lists the lease requests waiting for work, oldest first;
+	// dispatchLocked hands them shards as Run and the lease-expiry requeue
+	// add some.
+	held []*heldRequest
+	// release is closed by ReleaseHeld: held requests are answered null and
+	// new ones are not held.
+	release     chan struct{}
+	releaseOnce sync.Once
 	// onHold, when set (tests only), is called each time a lease request
-	// starts waiting on wake.
+	// starts being held, before it waits.
 	onHold func()
 
 	// Crash-recovery journal state (nil / empty without Config.StateDir).
@@ -134,6 +140,14 @@ type clusterRun struct {
 	done        chan struct{}
 }
 
+// heldRequest is a lease request waiting for work. dispatchLocked sets
+// lease and closes granted when it hands the request a shard.
+type heldRequest struct {
+	workerID string
+	lease    *Lease
+	granted  chan struct{}
+}
+
 // lease is the coordinator-side record of a granted range.
 type lease struct {
 	id       string
@@ -143,6 +157,10 @@ type lease struct {
 	granted  time.Time
 	expires  time.Time
 }
+
+// holdWindow is how long a lease request is held open when no work it may
+// run is pending.
+const holdWindow = 500 * time.Millisecond
 
 // errUnknownWorker marks requests from a worker the coordinator does not
 // know; the API layer maps it to 404 and the worker re-registers.
@@ -161,7 +179,7 @@ func New(cfg Config) (*Coordinator, error) {
 		workers:   make(map[string]*workerState),
 		runs:      make(map[string]*clusterRun),
 		leases:    make(map[string]*lease),
-		wake:      make(chan struct{}),
+		release:   make(chan struct{}),
 		recovered: make(map[string]*recoveredRun),
 		sweepStop: make(chan struct{}),
 		sweepDone: make(chan struct{}),
@@ -170,7 +188,7 @@ func New(cfg Config) (*Coordinator, error) {
 		c.ttl = 15 * time.Second
 	}
 	if c.poll <= 0 {
-		c.poll = 500 * time.Millisecond
+		c.poll = holdWindow
 	}
 	if c.log == nil {
 		c.log = obs.NopLogger()
@@ -302,7 +320,7 @@ func (c *Coordinator) Run(ctx context.Context, run service.BackendRun) (service.
 		close(r.done)
 		c.log.Info("cluster: run complete from journal alone", "run", r.id, "trace", r.trace.ID(), "reps", r.reps)
 	} else {
-		c.wakeLocked()
+		c.dispatchLocked()
 	}
 	c.mu.Unlock()
 	if replayed > 0 && run.Observe != nil {
@@ -396,44 +414,101 @@ func (c *Coordinator) register(req RegisterRequest) RegisterResponse {
 	}
 }
 
-// wakeLocked releases every held lease request to re-check the pending
-// pools. Callers hold the mutex and have just added pending shards.
-func (c *Coordinator) wakeLocked() {
-	close(c.wake)
-	c.wake = make(chan struct{})
-}
-
 // awaitLease answers a lease request. With a compatible shard pending it
-// grants one at once; otherwise it holds the request until shards are added
-// (Run, or a lease-expiry requeue) and one can be granted, and answers nil
-// only when the poll window has elapsed. A request whose context is done —
-// the worker gave up or went away — is granted nothing, so no lease is
+// grants one at once; otherwise it holds the request until Run or a
+// lease-expiry requeue hands it one (dispatchLocked), and answers nil only
+// when the hold window has elapsed or ReleaseHeld was called. A request
+// whose context is done — the worker gave up or went away — keeps nothing:
+// a shard handed to it goes straight back to the pool, so no lease is
 // stranded on a requester that will never see it.
 func (c *Coordinator) awaitLease(ctx context.Context, workerID string) (*Lease, error) {
+	if ctx.Err() != nil {
+		return nil, nil
+	}
+	c.mu.Lock()
+	lease, err := c.grantLeaseLocked(workerID)
+	if lease != nil || err != nil {
+		c.mu.Unlock()
+		return lease, err
+	}
+	h := &heldRequest{workerID: workerID, granted: make(chan struct{})}
+	c.held = append(c.held, h)
+	c.mu.Unlock()
+	if c.onHold != nil {
+		c.onHold()
+	}
+
 	window := time.NewTimer(c.poll)
 	defer window.Stop()
-	for {
-		if ctx.Err() != nil {
-			return nil, nil
+	select {
+	case <-h.granted:
+	case <-window.C:
+	case <-ctx.Done():
+	case <-c.release:
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if h.lease == nil {
+		c.unholdLocked(h)
+		return nil, nil
+	}
+	if ctx.Err() != nil {
+		if l, ok := c.leases[h.lease.ID]; ok {
+			c.reclaimLeaseLocked(l)
 		}
-		c.mu.Lock()
-		lease, err := c.grantLeaseLocked(workerID)
-		wake := c.wake
-		c.mu.Unlock()
-		if lease != nil || err != nil {
-			return lease, err
-		}
-		if c.onHold != nil {
-			c.onHold()
-		}
-		select {
-		case <-wake:
-		case <-window.C:
-			return nil, nil
-		case <-ctx.Done():
-			return nil, nil
+		return nil, nil
+	}
+	return h.lease, nil
+}
+
+// unholdLocked removes a request that was granted nothing from the held
+// list. Callers hold the mutex.
+func (c *Coordinator) unholdLocked(h *heldRequest) {
+	for i, other := range c.held {
+		if other == h {
+			c.held = append(c.held[:i], c.held[i+1:]...)
+			return
 		}
 	}
+}
+
+// dispatchLocked hands pending shards to held lease requests. Requests from
+// workers holding no lease go first, oldest first, then those of busy
+// workers (a prefetch for their next shard): a worker still executing a
+// shard never takes a new run's only shard from an idle one. Callers hold
+// the mutex and have just added pending shards.
+func (c *Coordinator) dispatchLocked() {
+	for _, idle := range []bool{true, false} {
+		kept := c.held[:0]
+		for _, h := range c.held {
+			// A request whose worker was forgotten answers null when its
+			// window ends, and the worker's next request re-registers it.
+			w, ok := c.workers[h.workerID]
+			if !ok || (len(w.leases) == 0) != idle {
+				kept = append(kept, h)
+				continue
+			}
+			// The worker is known, so granting cannot fail.
+			lease, _ := c.grantLeaseLocked(h.workerID)
+			if lease == nil {
+				kept = append(kept, h)
+				continue
+			}
+			h.lease = lease
+			close(h.granted)
+		}
+		clear(c.held[len(kept):])
+		c.held = kept
+	}
+}
+
+// ReleaseHeld answers every held lease request null at once and stops
+// holding new ones, so an HTTP server shutting down is not kept waiting for
+// hold windows. Call it once the server takes no new requests: rumord
+// registers it with http.Server.RegisterOnShutdown. Before that, a worker
+// answered null at once would re-ask without pause.
+func (c *Coordinator) ReleaseHeld() {
+	c.releaseOnce.Do(func() { close(c.release) })
 }
 
 // grantLeaseLocked hands the worker the lowest-start pending shard of the
@@ -668,12 +743,7 @@ func (c *Coordinator) sweepOnce(now time.Time) {
 		if now.Before(l.expires) {
 			continue
 		}
-		delete(c.leases, id)
-		if w, ok := c.workers[l.workerID]; ok {
-			delete(w.leases, id)
-		}
-		l.run.outstanding--
-		c.requeueShardLocked(l.run, l.shard)
+		c.reclaimLeaseLocked(l)
 		c.reassigned++
 		c.log.Warn("cluster: lease expired; range returned to pool",
 			"lease", id, "worker", l.workerID, "run", l.run.id, "trace", l.run.trace.ID(),
@@ -688,9 +758,20 @@ func (c *Coordinator) sweepOnce(now time.Time) {
 	}
 }
 
+// reclaimLeaseLocked revokes a granted lease and returns its shard to the
+// run's pending pool. Callers hold the mutex.
+func (c *Coordinator) reclaimLeaseLocked(l *lease) {
+	delete(c.leases, l.id)
+	if w, ok := c.workers[l.workerID]; ok {
+		delete(w.leases, l.id)
+	}
+	l.run.outstanding--
+	c.requeueShardLocked(l.run, l.shard)
+}
+
 // requeueShardLocked reinserts a reclaimed shard into the run's pending
-// pool, keeping it sorted by start, and wakes held lease requests. Callers
-// hold the mutex.
+// pool, keeping it sorted by start, and hands it to a held lease request if
+// one may run it. Callers hold the mutex.
 func (c *Coordinator) requeueShardLocked(r *clusterRun, sh shard) {
 	if r.finished {
 		return
@@ -699,7 +780,7 @@ func (c *Coordinator) requeueShardLocked(r *clusterRun, sh shard) {
 	r.pending = append(r.pending, shard{})
 	copy(r.pending[i+1:], r.pending[i:])
 	r.pending[i] = sh
-	c.wakeLocked()
+	c.dispatchLocked()
 }
 
 // ClusterStats exports the coordinator gauges into the service /metrics

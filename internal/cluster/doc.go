@@ -8,9 +8,9 @@
 // plain rumord processes started with -worker -join <coordinator>; each
 // executes its leased range on the local batch engine via
 // engine.RunReduceRangeCtx, which reproduces exactly the repetition streams a
-// single-node run would have used for those indices. A worker compiles a
-// run's scenario once and reuses it for every further shard of that run it
-// executes.
+// single-node run would have used for those indices. A worker keeps the
+// compiled scenario of its last lease and reuses it while its next leases
+// carry the same scenario, as consecutive shards of one run do.
 //
 // # Protocol
 //
@@ -22,9 +22,11 @@
 //	POST /v1/cluster/result     upload a completed range
 //
 // A lease request is held: when nothing the worker can run is pending, the
-// coordinator keeps the request open and grants a lease as soon as a new run
-// or a reclaimed lease adds shards, answering null only once the poll window
-// (Config.PollInterval) has elapsed. The worker then asks again at once, so
+// coordinator keeps the request open and hands it a shard as soon as a new
+// run or a reclaimed lease adds some, answering null only once the 500 ms
+// hold window has elapsed. New shards go to held requests of workers with no
+// lease first, so a worker still executing a shard never takes a new run's
+// only shard from an idle one. The worker asks again at once after null, so
 // an idle worker's only wait is one held request and new work starts without
 // a polling delay. This is why a coordinator and its workers must run the
 // same version: a worker facing a coordinator that answers null at once

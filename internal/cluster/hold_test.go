@@ -106,8 +106,8 @@ func TestHeldLeaseWakesOnRun(t *testing.T) {
 	<-runDone
 }
 
-// TestHeldLeaseWakesOnRequeue: a lease reclaimed by the expiry sweep wakes a
-// request held by another worker, which is granted the reclaimed range.
+// TestHeldLeaseWakesOnRequeue: a lease reclaimed by the expiry sweep goes at
+// once to a request held by another worker.
 func TestHeldLeaseWakesOnRequeue(t *testing.T) {
 	coord := newTestCoordinator(t, Config{LeaseTTL: time.Minute, PollInterval: 30 * time.Second, ShardSize: 10})
 	defer coord.Close()
@@ -146,8 +146,8 @@ func TestHeldLeaseWakesOnRequeue(t *testing.T) {
 }
 
 // TestHeldLeaseEmptyOnlyAfterWindow: a request is answered empty only once
-// its window has elapsed — with no run at all, and when another worker wins
-// the only shard of a run that woke it — so a worker that re-asks at once
+// its window has elapsed — with no run at all, and when another held request
+// is handed the only shard of a new run — so a worker that re-asks at once
 // cannot spin.
 func TestHeldLeaseEmptyOnlyAfterWindow(t *testing.T) {
 	const window = 500 * time.Millisecond
@@ -197,50 +197,149 @@ func TestHeldLeaseEmptyOnlyAfterWindow(t *testing.T) {
 }
 
 // TestHeldLeaseCancelledGetsNothing: a request whose context is done is
-// granted nothing — whether it was held when work arrived or arrives with
-// its context already done — and leaves the shards for live requests.
+// granted nothing — whether it went away while held before work arrived or
+// asks with its context already done — and the shards stay with live
+// requests.
 func TestHeldLeaseCancelledGetsNothing(t *testing.T) {
 	coord := newTestCoordinator(t, Config{LeaseTTL: time.Minute, PollInterval: 30 * time.Second, ShardSize: 10})
 	defer coord.Close()
 	holds := holdEvents(coord)
 	w := coord.register(RegisterRequest{Name: "leaving", CPUs: 1})
-	gated := coord.register(RegisterRequest{Name: "gated", CPUs: 1, Families: []string{"gnrho"}})
+	live := coord.register(RegisterRequest{Name: "live", CPUs: 1})
 
-	gatedCtx, gatedCancel := context.WithCancel(context.Background())
-	gatedAnswer := askLease(gatedCtx, coord, gated.WorkerID)
-	awaitHold(t, holds)
+	// Gone while held, before the run arrives.
 	leaveCtx, leave := context.WithCancel(context.Background())
 	leaving := askLease(leaveCtx, coord, w.WorkerID)
 	awaitHold(t, holds)
-
-	// The worker goes away while held, then a run arrives. The gated
-	// request's re-hold marks that the run's shards are pending.
 	leave()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	runDone := startRun(ctx, coord, testRun(t, 48, 20, 1))
-	awaitHold(t, holds)
-
+	runDone := startRun(ctx, coord, testRun(t, 48, 30, 1))
 	if got := receive(t, leaving); got.lease != nil || got.err != nil {
 		t.Errorf("cancelled held request got lease %v, err %v; want none", got.lease, got.err)
 	}
+	if l := waitLease(t, coord, live.WorkerID); l.Start != 0 {
+		t.Errorf("live request got [%d,%d), want the untouched first shard [0,10)", l.Start, l.Start+l.Count)
+	}
+	// Asking with a done context while shards are pending.
 	if got, err := coord.awaitLease(leaveCtx, w.WorkerID); got != nil || err != nil {
 		t.Errorf("request with a done context got lease %v, err %v; want none", got, err)
 	}
-	coord.mu.Lock()
-	granted := len(coord.leases)
-	coord.mu.Unlock()
-	if granted != 0 {
-		t.Errorf("%d leases granted to cancelled requests, want 0", granted)
+	if n := outstandingLeases(coord); n != 1 {
+		t.Errorf("%d leases outstanding, want only the live request's", n)
 	}
-	if l := waitLease(t, coord, w.WorkerID); l.Start != 0 {
-		t.Errorf("live request got [%d,%d), want the untouched first shard [0,10)", l.Start, l.Start+l.Count)
-	}
-
-	gatedCancel()
-	receive(t, gatedAnswer)
 	cancel()
 	<-runDone
+}
+
+// TestHeldLeaseCancelledAfterGrant: a held request handed a shard whose
+// context is done before it answers returns the shard to the pool at once
+// rather than stranding it until the lease expires.
+func TestHeldLeaseCancelledAfterGrant(t *testing.T) {
+	coord := newTestCoordinator(t, Config{LeaseTTL: time.Minute, PollInterval: 30 * time.Second, ShardSize: 10})
+	defer coord.Close()
+	// The hook holds the request between joining the held list and waiting,
+	// so the shard is handed to it before it can see its context end.
+	held, resume := make(chan struct{}), make(chan struct{})
+	coord.onHold = func() {
+		held <- struct{}{}
+		<-resume
+	}
+	w := coord.register(RegisterRequest{Name: "leaving", CPUs: 1})
+	live := coord.register(RegisterRequest{Name: "live", CPUs: 1})
+
+	leaveCtx, leave := context.WithCancel(context.Background())
+	leaving := askLease(leaveCtx, coord, w.WorkerID)
+	<-held
+	coord.onHold = nil
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := startRun(ctx, coord, testRun(t, 48, 20, 1))
+	// The run's first shard went to the held request, so the live worker
+	// gets the second, which also shows the run has arrived.
+	if l := waitLease(t, coord, live.WorkerID); l.Start != 10 {
+		t.Fatalf("live request got [%d,%d), want [10,20) after the held request's [0,10)", l.Start, l.Start+l.Count)
+	}
+	leave()
+	close(resume)
+	if got := receive(t, leaving); got.lease != nil || got.err != nil {
+		t.Errorf("request gone after its grant answered lease %v, err %v; want none", got.lease, got.err)
+	}
+	if n := outstandingLeases(coord); n != 1 {
+		t.Errorf("%d leases outstanding, want only the live request's", n)
+	}
+	if l := waitLease(t, coord, live.WorkerID); l.Start != 0 {
+		t.Errorf("live request got [%d,%d), want the returned [0,10)", l.Start, l.Start+l.Count)
+	}
+	cancel()
+	<-runDone
+}
+
+// TestHeldLeaseIdleWorkerFirst: when a new run's only shard arrives, a held
+// request of a worker with no lease gets it ahead of an older held request
+// of a worker still executing a shard (its prefetch).
+func TestHeldLeaseIdleWorkerFirst(t *testing.T) {
+	coord := newTestCoordinator(t, Config{LeaseTTL: time.Minute, PollInterval: 30 * time.Second, ShardSize: 10})
+	defer coord.Close()
+	holds := holdEvents(coord)
+	busy := coord.register(RegisterRequest{Name: "busy", CPUs: 1})
+	idle := coord.register(RegisterRequest{Name: "idle", CPUs: 1})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first := startRun(ctx, coord, testRun(t, 48, 10, 1))
+	waitLease(t, coord, busy.WorkerID)
+	for len(holds) > 0 {
+		<-holds
+	}
+	prefetchCtx, stopPrefetch := context.WithCancel(context.Background())
+	prefetch := askLease(prefetchCtx, coord, busy.WorkerID)
+	awaitHold(t, holds)
+	answer := askLease(context.Background(), coord, idle.WorkerID)
+	awaitHold(t, holds)
+
+	second := startRun(ctx, coord, testRun(t, 32, 10, 2))
+	got := receive(t, answer)
+	if got.err != nil || got.lease == nil {
+		t.Fatalf("idle worker's held request answered lease %v, err %v; want the new run's shard", got.lease, got.err)
+	}
+	stopPrefetch()
+	if got := receive(t, prefetch); got.lease != nil || got.err != nil {
+		t.Errorf("busy worker's prefetch got lease %v, err %v; want none", got.lease, got.err)
+	}
+	cancel()
+	<-first
+	<-second
+}
+
+// TestReleaseHeld: ReleaseHeld answers a held request null at once, long
+// before its window ends, and later requests are no longer held.
+func TestReleaseHeld(t *testing.T) {
+	const window = 30 * time.Second
+	coord := newTestCoordinator(t, Config{LeaseTTL: time.Minute, PollInterval: window, ShardSize: 10})
+	defer coord.Close()
+	holds := holdEvents(coord)
+	w := coord.register(RegisterRequest{Name: "idle", CPUs: 1})
+
+	answer := askLease(context.Background(), coord, w.WorkerID)
+	awaitHold(t, holds)
+	coord.ReleaseHeld()
+	for _, ch := range []<-chan leaseAnswer{answer, askLease(context.Background(), coord, w.WorkerID)} {
+		got := receive(t, ch)
+		if got.lease != nil || got.err != nil {
+			t.Errorf("released request got lease %v, err %v; want none", got.lease, got.err)
+		}
+		if got.waited >= window {
+			t.Errorf("released request waited %v, the whole window", got.waited)
+		}
+	}
+}
+
+// outstandingLeases counts the coordinator's granted, unsettled leases.
+func outstandingLeases(coord *Coordinator) int {
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	return len(coord.leases)
 }
 
 // TestHeldLeaseManyWorkersManyRuns: several workers hold requests while

@@ -64,10 +64,11 @@ type Lease struct {
 // LeaseResponse carries the granted lease, or null. A lease request is held:
 // when no work the worker's families cover is pending, the coordinator keeps
 // the request open and grants a lease the moment a run or a reclaimed lease
-// adds one, answering null only when its poll window (rumord -poll) has
-// elapsed with nothing to grant. The worker asks again at once on null, so a
-// coordinator and its workers must run the same rumord version: a worker
-// talking to a coordinator that answers at once would re-ask without pause.
+// adds one, answering null only when its 500 ms hold window has elapsed with
+// nothing to grant (or at once when the coordinator shuts down). The worker
+// asks again at once on null, so a coordinator and its workers must run the
+// same rumord version: a worker talking to a coordinator that answers at once
+// would re-ask without pause.
 type LeaseResponse struct {
 	Lease *Lease `json:"lease"`
 }

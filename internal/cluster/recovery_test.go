@@ -69,7 +69,7 @@ func executeLease(t *testing.T, lease *Lease) ResultRequest {
 }
 
 // waitLease asks for a lease until the coordinator grants one; each request
-// is held for up to the coordinator's poll window.
+// is held for up to the coordinator's hold window.
 func waitLease(t *testing.T, coord *Coordinator, workerID string) *Lease {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; {

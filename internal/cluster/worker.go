@@ -32,19 +32,14 @@ type WorkerConfig struct {
 	// Families restricts the worker to the named network families; nil
 	// announces support for every family.
 	Families []string
-	// Client overrides the HTTP client (nil selects one with RequestTimeout).
-	// Its timeout must exceed the coordinator's hold window
-	// (Config.PollInterval), or idle lease requests time out.
+	// Client overrides the HTTP client (nil selects one with a 30s timeout).
+	// Its timeout must exceed the coordinator's 500 ms hold of an idle lease
+	// request.
 	Client *http.Client
 	// Logger, when non-nil, receives worker lifecycle events as structured
 	// log lines; nil discards them.
 	Logger *slog.Logger
 }
-
-// RequestTimeout is the HTTP timeout of a worker's protocol requests when
-// WorkerConfig.Client is nil. A held lease request stays open for up to the
-// coordinator's poll window, so that window must stay below it.
-const RequestTimeout = 30 * time.Second
 
 // Worker executes leased repetition ranges for a coordinator. Create with
 // NewWorker and drive with Run; the worker registers itself, heartbeats, and
@@ -63,8 +58,10 @@ type Worker struct {
 	held map[string]context.CancelFunc // lease ID -> abandon
 
 	// compiled is the last lease's compiled scenario, keyed by its canonical
-	// bytes (compiledFor): a run's shards share one scenario, so the worker
-	// builds the run's network once rather than once per shard, and the one
+	// bytes (compiledFor). The coordinator grants the oldest run's lowest
+	// pending shard first, so a worker's consecutive leases are mostly shards
+	// of one run, and reuse skips rebuilding a shareable network (a clique's,
+	// say) for each; a family built per repetition gains nothing. The one
 	// entry bounds memory to one network. Touched only by the Run loop.
 	compiledFor []byte
 	compiled    *engine.Compiled
@@ -82,7 +79,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		held:     make(map[string]context.CancelFunc),
 	}
 	if w.client == nil {
-		w.client = &http.Client{Timeout: RequestTimeout}
+		w.client = &http.Client{Timeout: 30 * time.Second}
 	}
 	if w.log == nil {
 		w.log = obs.NopLogger()
@@ -96,7 +93,7 @@ var errStaleWorker = errors.New("cluster: coordinator does not know this worker"
 
 // Run is the worker loop: register, heartbeat in the background, and
 // claim-execute-upload leases until ctx is cancelled. A lease request is
-// held by the coordinator until work arrives or its poll window runs out, so
+// held by the coordinator until work arrives or its hold window runs out, so
 // an empty answer is re-asked at once, without a sleep. It returns ctx.Err()
 // on cancellation; transient coordinator failures are retried with backoff,
 // never surfaced.
@@ -396,7 +393,7 @@ func (w *Worker) upload(ctx context.Context, result ResultRequest, trace string)
 }
 
 // requestLease asks the coordinator for work; the coordinator holds the
-// request until a lease can be granted or its poll window runs out.
+// request until a lease can be granted or its hold window runs out.
 func (w *Worker) requestLease(ctx context.Context) (*Lease, error) {
 	var resp LeaseResponse
 	if err := w.post(ctx, "/v1/cluster/lease", LeaseRequest{WorkerID: w.workerID()}, &resp); err != nil {

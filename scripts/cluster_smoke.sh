@@ -19,9 +19,8 @@ go build -o "$TMP/rumord" ./cmd/rumord
 go build -o "$TMP/client" ./examples/client
 
 # A short lease TTL so the killed worker's range is reassigned within the
-# smoke's patience, not the production default's. The poll window stays at
-# its 500ms default: idle workers hold a lease request open, so they pick up
-# the run as soon as it is submitted.
+# smoke's patience, not the production default's. Idle workers hold a lease
+# request open, so they pick up the run as soon as it is submitted.
 "$TMP/rumord" -cluster -addr "$COORD" -lease-ttl 2s >"$TMP/coord.log" 2>&1 &
 PIDS="$PIDS $!"
 "$TMP/rumord" -addr "$LOCAL" -budget 4 >"$TMP/local.log" 2>&1 &
