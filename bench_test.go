@@ -6,6 +6,7 @@ package dynamicrumor_test
 // performance regressions in the hot paths are visible.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -114,8 +115,8 @@ func BenchmarkMonteCarloStream(b *testing.B) {
 					Stream:  sv,
 				}
 				for i := 0; i < b.N; i++ {
-					st, err := eng.RunStats(sc, monteCarloBenchReps)
-					if err != nil {
+					st := rumor.NewBatchStats()
+					if err := eng.RunReduceCtx(context.Background(), sc, monteCarloBenchReps, st.Add); err != nil {
 						b.Fatal(err)
 					}
 					if st.Completed != st.Reps {
@@ -139,8 +140,8 @@ func BenchmarkRunReduce1e5Reps(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := eng.RunStats(sc, 100000)
-		if err != nil {
+		st := rumor.NewBatchStats()
+		if err := eng.RunReduceCtx(context.Background(), sc, 100000, st.Add); err != nil {
 			b.Fatal(err)
 		}
 		if st.Completed != st.Reps {
@@ -154,9 +155,10 @@ func BenchmarkRunReduce1e5Reps(b *testing.B) {
 func BenchmarkAsyncCliqueN1000(b *testing.B) {
 	net := rumor.Static(rumor.Clique(1000))
 	rng := rumor.NewRNG(1)
+	proto := rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: 0}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rumor.SpreadAsync(net, rumor.AsyncOptions{Start: 0}, rng); err != nil {
+		if _, err := proto.Run(net, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -165,9 +167,10 @@ func BenchmarkAsyncCliqueN1000(b *testing.B) {
 func BenchmarkAsyncExpanderN10000(b *testing.B) {
 	rng := rumor.NewRNG(2)
 	net := rumor.Static(rumor.Expander(10000, 6, rng))
+	proto := rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: 0}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rumor.SpreadAsync(net, rumor.AsyncOptions{Start: 0}, rng); err != nil {
+		if _, err := proto.Run(net, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,7 +184,8 @@ func BenchmarkAsyncDynamicStarN5000(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := rumor.SpreadAsync(net, rumor.AsyncOptions{Start: net.StartVertex()}, rng); err != nil {
+		proto := rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: net.StartVertex()}}
+		if _, err := proto.Run(net, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -190,9 +194,10 @@ func BenchmarkAsyncDynamicStarN5000(b *testing.B) {
 func BenchmarkSyncCliqueN1000(b *testing.B) {
 	net := rumor.Static(rumor.Clique(1000))
 	rng := rumor.NewRNG(4)
+	proto := rumor.SyncProtocol{Opts: rumor.SyncOptions{Start: 0}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rumor.SpreadSync(net, rumor.SyncOptions{Start: 0}, rng); err != nil {
+		if _, err := proto.Run(net, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -201,9 +206,10 @@ func BenchmarkSyncCliqueN1000(b *testing.B) {
 func BenchmarkFloodingTorus64x64(b *testing.B) {
 	net := rumor.Static(rumor.Torus(64, 64))
 	rng := rumor.NewRNG(5)
+	proto := rumor.FloodingProtocol{Opts: rumor.SyncOptions{Start: 0}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rumor.SpreadFlooding(net, rumor.SyncOptions{Start: 0}, rng); err != nil {
+		if _, err := proto.Run(net, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -216,9 +222,10 @@ func BenchmarkFloodingTorus64x64(b *testing.B) {
 func BenchmarkFloodingLargeN(b *testing.B) {
 	net := rumor.Static(rumor.Torus(512, 512))
 	rng := rumor.NewRNG(6)
+	proto := rumor.FloodingProtocol{Opts: rumor.SyncOptions{Start: 0}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := rumor.SpreadFlooding(net, rumor.SyncOptions{Start: 0}, rng)
+		res, err := proto.Run(net, rng)
 		if err != nil {
 			b.Fatal(err)
 		}

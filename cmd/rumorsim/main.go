@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -158,7 +159,7 @@ func buildScenario(opts options) (rumor.Scenario, error) {
 
 func simulate(sc rumor.Scenario, opts options, out *os.File) error {
 	eng := rumor.Engine{Parallelism: opts.parallel, ChunkSize: opts.chunk, Seed: opts.seed}
-	// The batch streams through Engine.RunReduce without trace recording:
+	// The batch streams through Engine.RunReduceCtx without trace recording:
 	// the CLI only reports summary statistics, so no repetition's result —
 	// let alone a TracePoint per informed vertex — needs to outlive its
 	// reduction, and memory stays O(1) no matter how large -reps is. The
@@ -173,7 +174,7 @@ func simulate(sc rumor.Scenario, opts options, out *os.File) error {
 		sum, min, max float64
 		completed     int
 	)
-	err := eng.RunReduce(batchSc, opts.reps, func(rep int, res *rumor.Result) error {
+	err := eng.RunReduceCtx(context.Background(), batchSc, opts.reps, func(rep int, res *rumor.Result) error {
 		t := res.SpreadTime
 		sum += t
 		if rep == 0 || t < min {
@@ -191,16 +192,17 @@ func simulate(sc rumor.Scenario, opts options, out *os.File) error {
 		return err
 	}
 	if opts.trace {
-		// Re-run repetition 0 with tracing on. Engine.Run draws the same
-		// private stream as the batch's first repetition, so the printed
-		// trajectory is exactly the one behind the batch's first result.
+		// Re-run repetition 0 with tracing on. A one-repetition batch draws
+		// the same private stream as the batch's first repetition, so the
+		// printed trajectory is exactly the one behind the batch's first
+		// result.
 		traceSc := sc
 		traceSc.Trace = true
-		first, err := eng.Run(traceSc)
+		first, err := eng.RunBatch(traceSc, 1)
 		if err != nil {
 			return err
 		}
-		for _, p := range first.Trace {
+		for _, p := range first.Results[0].Trace {
 			fmt.Fprintf(out, "trace t=%.4f informed=%d\n", p.Time, p.Informed)
 		}
 	}

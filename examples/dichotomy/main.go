@@ -82,7 +82,7 @@ func measureDichotomy(n, reps int, rng *rumor.RNG, build builder) (async, sync s
 		if err != nil {
 			return async, sync, err
 		}
-		resA, err := rumor.SpreadAsync(netA, rumor.AsyncOptions{Start: start}, sub.Split(2))
+		resA, err := rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: start}}.Run(netA, sub.Split(2))
 		if err != nil {
 			return async, sync, err
 		}
@@ -95,7 +95,7 @@ func measureDichotomy(n, reps int, rng *rumor.RNG, build builder) (async, sync s
 		if err != nil {
 			return async, sync, err
 		}
-		resS, err := rumor.SpreadSync(netS, rumor.SyncOptions{Start: start}, sub.Split(4))
+		resS, err := rumor.SyncProtocol{Opts: rumor.SyncOptions{Start: start}}.Run(netS, sub.Split(4))
 		if err != nil {
 			return async, sync, err
 		}

@@ -35,7 +35,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			resA, err := rumor.SpreadAsync(netA, rumor.AsyncOptions{Start: 0, MaxTime: 1e6}, sub.Split(2))
+			resA, err := rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: 0, MaxTime: 1e6}}.Run(netA, sub.Split(2))
 			if err != nil {
 				return err
 			}
@@ -45,7 +45,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			resF, err := rumor.SpreadFlooding(netF, rumor.SyncOptions{Start: 0}, sub.Split(4))
+			resF, err := rumor.FloodingProtocol{Opts: rumor.SyncOptions{Start: 0}}.Run(netF, sub.Split(4))
 			if err != nil {
 				return err
 			}

@@ -24,7 +24,8 @@ func run() error {
 	// A static constant-degree expander.
 	expander := rumor.Expander(n, 6, rng)
 	static := rumor.Static(expander)
-	res, err := rumor.SpreadAsync(static, rumor.AsyncOptions{Start: 0}, rng)
+	async := rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: 0}}
+	res, err := async.Run(static, rng)
 	if err != nil {
 		return fmt.Errorf("static expander: %w", err)
 	}
@@ -33,7 +34,7 @@ func run() error {
 	// The same expander alternating with a cycle: conductance collapses on
 	// every other step, and the Theorem 1.1 bound adapts automatically.
 	alternating := rumor.Alternating([]*rumor.Graph{expander, rumor.Cycle(n)})
-	res2, err := rumor.SpreadAsync(alternating, rumor.AsyncOptions{Start: 0}, rng)
+	res2, err := async.Run(alternating, rng)
 	if err != nil {
 		return fmt.Errorf("alternating network: %w", err)
 	}

@@ -37,7 +37,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			res, err := rumor.SpreadAsync(net, rumor.AsyncOptions{Start: net.StartVertex()}, sub.Split(2))
+			res, err := rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: net.StartVertex()}}.Run(net, sub.Split(2))
 			if err != nil {
 				return err
 			}

@@ -41,8 +41,8 @@ type Network interface {
 // rng exactly what the constructor would (draw for draw), while keeping every
 // backing buffer. A batch worker that resets a warm instance therefore
 // produces bit-identical repetitions to one that constructs a fresh instance
-// per repetition — without the per-repetition allocations. See
-// engine.RunBatchFrom, which detects this interface during batch compilation.
+// per repetition — without the per-repetition allocations. The engine's
+// batch workers detect this interface and reuse their instance.
 type Reusable interface {
 	Network
 	// Reset re-initializes the network for a new repetition using rng.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestRunReduceMatchesRunBatch(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			eng := Engine{Seed: 5, Parallelism: par}
 			n := 0
-			err := eng.RunReduce(sc, 12, func(rep int, res *sim.Result) error {
+			err := eng.RunReduceCtx(context.Background(), sc, 12, func(rep int, res *sim.Result) error {
 				w := want.Results[rep]
 				if res.SpreadTime != w.SpreadTime || res.Informed != w.Informed ||
 					res.Steps != w.Steps || res.Events != w.Events || res.Completed != w.Completed {
@@ -149,16 +150,17 @@ func TestRunReduceMatchesRunBatch(t *testing.T) {
 }
 
 // TestRunStatsMatchesEnsembleAggregates checks the streaming aggregate
-// against the materializing aggregation (exact fields only; quantiles are
-// estimates and are checked for plausibility).
+// (BatchStats.Add as the reducer) against the materializing aggregation
+// (exact fields only; quantiles are estimates and are checked for
+// plausibility).
 func TestRunStatsMatchesEnsembleAggregates(t *testing.T) {
 	sc := Scenario{Network: NetworkSpec{Family: "clique", Params: gen.Params{"n": 200}}}
 	ens, err := Engine{Seed: 2}.RunBatch(sc, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Engine{Seed: 2}.RunStats(sc, 60)
-	if err != nil {
+	st := NewBatchStats()
+	if err := (Engine{Seed: 2}).RunReduceCtx(context.Background(), sc, 60, st.Add); err != nil {
 		t.Fatal(err)
 	}
 	if st.Reps != 60 || st.SpreadTime.N() != 60 {
@@ -220,7 +222,7 @@ func testRunReduceSteadyStateAllocs(t *testing.T, sc Scenario) {
 	eng := Engine{Seed: 31, Parallelism: 1}
 	run := func(reps int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			err := eng.RunReduce(sc, reps, func(int, *sim.Result) error { return nil })
+			err := eng.RunReduceCtx(context.Background(), sc, reps, func(int, *sim.Result) error { return nil })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,17 +250,17 @@ func TestRunReduceConstantMemory(t *testing.T) {
 	eng := Engine{Seed: 13, Parallelism: 1}
 	reduce := func(int, *sim.Result) error { return nil }
 	// Warm every lazily grown buffer, then measure cumulative allocation.
-	if err := eng.RunReduce(sc, 100, reduce); err != nil {
+	if err := eng.RunReduceCtx(context.Background(), sc, 100, reduce); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := eng.RunReduce(sc, 100000, reduce); err != nil {
+	if err := eng.RunReduceCtx(context.Background(), sc, 100000, reduce); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
 	const ceiling = 1 << 20 // 1 MiB for compile + scratch warmup, vs ~2 GiB if results were retained
 	if churn := after.TotalAlloc - before.TotalAlloc; churn > ceiling {
-		t.Fatalf("10⁵-rep RunReduce allocated %d bytes total, want <= %d (O(1) in reps)", churn, ceiling)
+		t.Fatalf("10⁵-rep RunReduceCtx allocated %d bytes total, want <= %d (O(1) in reps)", churn, ceiling)
 	}
 }

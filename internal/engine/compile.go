@@ -27,7 +27,7 @@ func (c *Compiled) Scenario() Scenario { return c.cs.sc }
 // RunReduceCtx(sc): compilation is the same step the engine performs
 // internally, only hoisted out so callers can amortize it.
 func Compile(sc Scenario) (*Compiled, error) {
-	return NewCompileSet().Compile(sc)
+	return (*CompileSet)(nil).Compile(sc)
 }
 
 // CompileSet compiles scenarios while sharing the expensive part — the
@@ -62,9 +62,11 @@ func NewCompileSet() *CompileSet {
 }
 
 // Compile validates and compiles the scenario, reusing any shared network an
-// earlier Compile on this set already built for the same network spec.
+// earlier Compile on this set already built for the same network spec. A nil
+// set is valid and compiles unshared, exactly like the package-level Compile,
+// so callers holding an optional set need not branch on it.
 func (set *CompileSet) Compile(sc Scenario) (*Compiled, error) {
-	cs, err := compileScenarioShared(sc, set)
+	cs, err := compileScenario(sc, set)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +81,7 @@ func (set *CompileSet) Networks() int {
 }
 
 // lookupOrBuild returns the cached shared network for the spec, building and
-// caching it on first use. A nil set (plain compileScenario) always builds.
+// caching it on first use. A nil set always builds.
 func (set *CompileSet) lookupOrBuild(ns NetworkSpec, build func() (dynamic.Network, int, error)) (dynamic.Network, int, error) {
 	if set == nil {
 		return build()

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dynamicrumor/internal/dynamic"
 	"dynamicrumor/internal/gen"
@@ -32,107 +33,66 @@ type Engine struct {
 	ChunkSize int
 }
 
-// Run executes a scenario once and returns its result. It is equivalent to
-// RunBatch with one repetition, so Run and RunBatch(…, 1) agree bit for bit.
-func (e Engine) Run(sc Scenario) (*sim.Result, error) {
-	ens, err := e.RunBatch(sc, 1)
-	if err != nil {
-		return nil, err
-	}
-	return ens.Results[0], nil
-}
-
 // RunBatch executes reps independent Monte-Carlo repetitions of the scenario
 // and aggregates them into an Ensemble. Repetition i builds a fresh network
 // instance and runs the protocol on it, both from private RNG streams derived
 // from the engine seed, so the ensemble is bit-identical for every
 // Parallelism value (see internal/runner).
+//
+// RunBatch is RunReduceCtx with a reducer that keeps a copy of every result,
+// trace included, so Results[i] is exactly what RunReduceCtx hands its
+// reducer for repetition i. Use RunReduceCtx when the results need not
+// outlive the run: its memory stays O(workers) instead of O(reps).
 func (e Engine) RunBatch(sc Scenario, reps int) (*Ensemble, error) {
-	return e.RunBatchCtx(context.Background(), sc, reps)
-}
-
-// RunBatchCtx is RunBatch under a context: cancelling ctx stops the batch at
-// the next repetition boundary (in-flight repetitions complete, no new ones
-// start) and returns ctx.Err(). A batch that runs to completion is unaffected
-// by its context, so RunBatchCtx(context.Background(), …) and RunBatch agree
-// bit for bit.
-func (e Engine) RunBatchCtx(ctx context.Context, sc Scenario, reps int) (*Ensemble, error) {
-	return e.RunBatchFrom(ctx, sc, reps, xrand.New(e.Seed))
-}
-
-// RunBatchFrom is RunBatchCtx with an explicit base generator in place of the
-// engine seed. It exists so callers that are themselves part of a larger
-// deterministic experiment (the E1–E12 suite) can hand the engine a derived
-// stream; most callers want RunBatch.
-//
-// The scenario is compiled once before the fan-out (see compileScenario):
-// immutable networks are built a single time and shared read-only by every
-// worker, and each worker recycles its builders, network instances and
-// simulator scratch across all of its repetitions. Compilation never changes
-// results — every repetition consumes exactly the RNG stream the historical
-// build-per-repetition loop consumed.
-//
-// The base generator is advanced reps times over the course of the call —
-// even when the run is cancelled — and must not be used concurrently with it.
-func (e Engine) RunBatchFrom(ctx context.Context, sc Scenario, reps int, base *xrand.RNG) (*Ensemble, error) {
-	cs, err := compileScenario(sc)
+	ens := &Ensemble{Scenario: sc}
+	err := e.RunReduceCtx(context.Background(), sc, reps, func(rep int, res *sim.Result) error {
+		kept := *res
+		kept.Trace = slices.Clone(res.Trace)
+		ens.Results = append(ens.Results, &kept)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if reps < 1 {
-		return nil, fmt.Errorf("engine: reps must be >= 1, got %d", reps)
-	}
-	results, err := runner.MapLocalOpts(ctx, runner.Options{Parallelism: e.Parallelism, ChunkSize: e.ChunkSize}, reps, base, newWorkerState,
-		func(rep int, sub *xrand.RNG, ws *workerState) (*sim.Result, error) {
-			// Results are retained by the ensemble, so this path hands the
-			// simulator a nil result and lets it allocate a fresh one.
-			return cs.runRep(sub, ws, nil)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return &Ensemble{Scenario: sc, Results: results}, nil
+	return ens, nil
 }
 
 // Reducer consumes one repetition's result. The engine calls it in strict
-// repetition order (0, 1, 2, ...), never concurrently, so it can fold into
-// plain accumulators without locking. The result is only valid for the
-// duration of the call — the worker recycles it for its next repetition —
-// so a reducer extracts what it needs and must not retain res or its trace.
+// repetition order, never concurrently, so it can fold into plain
+// accumulators without locking. The result is only valid for the duration of
+// the call — the worker recycles it for a later repetition — so a reducer
+// extracts what it needs and must not retain res or its trace (RunBatch
+// copies both). BatchStats.Add is a ready-made Reducer.
 type Reducer func(rep int, res *sim.Result) error
 
-// RunReduce executes reps repetitions like RunBatch but streams each result
-// into reduce instead of materializing an Ensemble: memory stays O(workers)
-// no matter how large reps is, which is what makes 10⁵–10⁶-repetition
-// ensembles practical. Repetition i's result is bit-identical to
-// RunBatch's Results[i] — the two entry points share the compiled scenario
-// and the per-repetition stream discipline — and the reduction order is the
-// repetition order for every Parallelism value.
+// RunReduceCtx executes reps repetitions of the scenario and streams each
+// result into reduce instead of materializing an Ensemble: memory stays
+// O(workers) no matter how large reps is, which is what makes
+// 10⁵–10⁶-repetition ensembles practical. The reduction order is the
+// repetition order for every Parallelism and ChunkSize value.
 //
 // A failing repetition (or a reducer error) aborts the run after every
 // earlier repetition has been reduced; the returned error identifies the
-// lowest failing repetition deterministically.
-func (e Engine) RunReduce(sc Scenario, reps int, reduce Reducer) error {
-	return e.RunReduceCtx(context.Background(), sc, reps, reduce)
-}
-
-// RunReduceCtx is RunReduce under a context: cancelling ctx stops the run at
-// the next repetition boundary — every already-claimed repetition is still
-// reduced, in order — and returns ctx.Err(). This is the entry point of
-// long-lived callers (the rumord service) that must be able to abandon a
-// batch without leaking its workers.
+// lowest failing repetition deterministically. Cancelling ctx stops the run
+// at the next chunk boundary — every already-claimed repetition is still
+// reduced, in order — and returns ctx.Err(), so long-lived callers (the
+// rumord service) can abandon a batch without leaking its workers.
 func (e Engine) RunReduceCtx(ctx context.Context, sc Scenario, reps int, reduce Reducer) error {
 	return e.RunReduceFrom(ctx, sc, reps, xrand.New(e.Seed), reduce)
 }
 
 // RunReduceFrom is RunReduceCtx with an explicit base generator in place of
-// the engine seed, mirroring RunBatchFrom.
+// the engine seed. It exists so callers that are themselves part of a larger
+// deterministic experiment (the E1–E12 suite) can hand the engine a derived
+// stream. The base generator is advanced reps times over the course of the
+// call — even when the run fails or is cancelled — and must not be used
+// concurrently with it.
 func (e Engine) RunReduceFrom(ctx context.Context, sc Scenario, reps int, base *xrand.RNG, reduce Reducer) error {
-	cs, err := compileScenario(sc)
+	cs, err := compileScenario(sc, nil)
 	if err != nil {
 		return err
 	}
-	return e.runReduceCompiled(ctx, cs, reps, base, reduce)
+	return e.execute(ctx, cs, base, 0, reps, reduce)
 }
 
 // RunReduceCompiledCtx is RunReduceCtx on an already-compiled scenario (see
@@ -142,40 +102,7 @@ func (e Engine) RunReduceFrom(ctx context.Context, sc Scenario, reps int, base *
 // scenario. This is the hot entry point of sweep execution, where one
 // compiled cell shape backs many runs.
 func (e Engine) RunReduceCompiledCtx(ctx context.Context, c *Compiled, reps int, reduce Reducer) error {
-	return e.runReduceCompiled(ctx, c.cs, reps, xrand.New(e.Seed), reduce)
-}
-
-// RunReduceFromCompiled is RunReduceCompiledCtx with an explicit base
-// generator in place of the engine seed, mirroring RunReduceFrom.
-func (e Engine) RunReduceFromCompiled(ctx context.Context, c *Compiled, reps int, base *xrand.RNG, reduce Reducer) error {
-	return e.runReduceCompiled(ctx, c.cs, reps, base, reduce)
-}
-
-// runReduceCompiled is the shared streaming-reduction body behind every
-// RunReduce entry point.
-func (e Engine) runReduceCompiled(ctx context.Context, cs *compiledScenario, reps int, base *xrand.RNG, reduce Reducer) error {
-	if reps < 1 {
-		return fmt.Errorf("engine: reps must be >= 1, got %d", reps)
-	}
-	// Workers claim and compute whole chunks before any of a chunk is reduced,
-	// so each worker needs one distinct result slot per repetition of a chunk:
-	// a ring of ChunkFor slots, advanced round-robin, is exactly that (a chunk
-	// is fully reduced before its worker claims the next one, so a slot is
-	// never overwritten while the reducer can still see it).
-	ringSize := runner.ChunkFor(e.ChunkSize, reps, e.Parallelism)
-	return runner.MapReduceOpts(ctx, runner.Options{Parallelism: e.Parallelism, ChunkSize: e.ChunkSize}, reps, base, newWorkerState,
-		func(rep int, sub *xrand.RNG, ws *workerState) (*sim.Result, error) {
-			if ws.resRing == nil {
-				ws.resRing = make([]sim.Result, ringSize)
-			}
-			res := &ws.resRing[ws.resCur]
-			ws.resCur++
-			if ws.resCur == len(ws.resRing) {
-				ws.resCur = 0
-			}
-			return cs.runRep(sub, ws, res)
-		},
-		runner.Reducer[*sim.Result](reduce))
+	return e.execute(ctx, c.cs, xrand.New(e.Seed), 0, reps, reduce)
 }
 
 // RunReduceRangeCtx executes only the repetition range [start, start+count)
@@ -190,15 +117,25 @@ func (e Engine) runReduceCompiled(ctx context.Context, cs *compiledScenario, rep
 // like RunReduceCompiledCtx, lets a worker compile a run's scenario once for
 // all of the run's shards it executes.
 func (e Engine) RunReduceRangeCtx(ctx context.Context, c *Compiled, start, count int, reduce Reducer) error {
-	cs := c.cs
-	if start < 0 {
-		return fmt.Errorf("engine: range start must be >= 0, got %d", start)
-	}
+	return e.execute(ctx, c.cs, xrand.New(e.Seed), start, count, reduce)
+}
+
+// execute is the one execution core behind every entry point: it runs the
+// repetitions [start, start+count) of the compiled scenario through
+// runner.Run, with base positioned where a whole run from repetition 0 would
+// start, and reduces each result in repetition order.
+func (e Engine) execute(ctx context.Context, cs *compiledScenario, base *xrand.RNG, start, count int, reduce Reducer) error {
 	if count < 1 {
-		return fmt.Errorf("engine: range count must be >= 1, got %d", count)
+		return fmt.Errorf("engine: reps must be >= 1, got %d", count)
 	}
+	// Workers claim and compute whole chunks before any of a chunk is reduced,
+	// so each worker needs one distinct result slot per repetition of a chunk:
+	// a ring of ChunkFor slots, advanced round-robin, is exactly that (a chunk
+	// is fully reduced before its worker claims the next one, so a slot is
+	// never overwritten while the reducer can still see it).
 	ringSize := runner.ChunkFor(e.ChunkSize, count, e.Parallelism)
-	return runner.MapReduceRangeOpts(ctx, runner.Options{Parallelism: e.Parallelism, ChunkSize: e.ChunkSize}, start, count, xrand.New(e.Seed), newWorkerState,
+	plan := runner.Plan{Start: start, Count: count, Parallelism: e.Parallelism, ChunkSize: e.ChunkSize}
+	return runner.Run(ctx, plan, base, newWorkerState,
 		func(rep int, sub *xrand.RNG, ws *workerState) (*sim.Result, error) {
 			if ws.resRing == nil {
 				ws.resRing = make([]sim.Result, ringSize)
@@ -240,16 +177,11 @@ type compiledScenario struct {
 // compileScenario validates the scenario and selects its execution strategy.
 // Deterministic constructions are materialized here, before the fan-out; the
 // no-draw contract of gen.Family.Deterministic and dynamicFamily.shareable is
-// what makes sharing them invisible to every repetition's RNG stream.
-func compileScenario(sc Scenario) (*compiledScenario, error) {
-	return compileScenarioShared(sc, nil)
-}
-
-// compileScenarioShared is compileScenario with an optional CompileSet: when
+// what makes sharing them invisible to every repetition's RNG stream. When
 // set is non-nil, the shared read-only networks it has already built for an
 // equal network spec are reused instead of rebuilt, so a grid of scenarios
 // over the same graph pays its construction once.
-func compileScenarioShared(sc Scenario, set *CompileSet) (*compiledScenario, error) {
+func compileScenario(sc Scenario, set *CompileSet) (*compiledScenario, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -293,15 +225,15 @@ func compileScenarioShared(sc Scenario, set *CompileSet) (*compiledScenario, err
 }
 
 // workerState is the recycled state one batch worker carries across all of
-// its repetitions: simulator scratch, a result buffer (reduce path only),
-// the two per-repetition RNG values, and the network recycling machinery of
+// its repetitions: simulator scratch, a ring of result buffers, the two
+// per-repetition RNG values, and the network recycling machinery of
 // whichever strategy the compiled scenario selected. None of it influences
 // results — it is storage reuse, not input.
 type workerState struct {
 	scratch *sim.Scratch
-	// resRing holds the reduce path's recycled results — one slot per
-	// repetition of a claim chunk, allocated lazily on the worker's first
-	// repetition and advanced round-robin by resCur.
+	// resRing holds the worker's recycled results — one slot per repetition
+	// of a claim chunk, allocated lazily on the worker's first repetition and
+	// advanced round-robin by resCur.
 	resRing  []sim.Result
 	resCur   int
 	netRNG   xrand.RNG
@@ -381,8 +313,8 @@ func (cs *compiledScenario) runRep(sub *xrand.RNG, ws *workerState, res *sim.Res
 		ws.reuse, ws.reuseOK = ws.proto.(sim.ReusableProtocol)
 	}
 	sub.SplitInto(2, &ws.protoRNG)
-	// Every worker reuses one scratch (and, on the reduce path, one result)
-	// across all of its repetitions; RunInto is contractually stream- and
+	// Every worker reuses one scratch and its ring of results across all of
+	// its repetitions; RunInto is contractually stream- and
 	// output-identical to Run, so this is purely an allocation optimization.
 	var out *sim.Result
 	if ws.reuseOK {

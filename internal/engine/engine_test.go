@@ -142,22 +142,6 @@ func TestScenarioJSONRoundTripIdenticalEnsemble(t *testing.T) {
 // package free of the rumor facade.
 func StartAt(v int) *int { return &v }
 
-func TestRunEqualsFirstBatchResult(t *testing.T) {
-	sc := Scenario{Network: NetworkSpec{Family: "cycle", Params: Params{"n": 40}}, Protocol: ProtocolSync}
-	eng := Engine{Seed: 5}
-	single, err := eng.Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := eng.RunBatch(sc, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(single, batch.Results[0]) {
-		t.Fatalf("Run = %+v, want first batch result %+v", single, batch.Results[0])
-	}
-}
-
 func TestRunBatchCustomFactory(t *testing.T) {
 	calls := 0
 	sc := Scenario{Network: NetworkSpec{Custom: func(rng *xrand.RNG) (dynamic.Network, int, error) {

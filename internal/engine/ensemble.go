@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"context"
-
 	"dynamicrumor/internal/analysis"
 	"dynamicrumor/internal/sim"
 	"dynamicrumor/internal/stats"
@@ -100,7 +98,15 @@ func (e *Ensemble) TimeToFractionQuantiles(fraction float64) (median, q90 float6
 // running moments and extremes of the spread time, P² estimates for its
 // median and 0.9-quantile, and the completion count. Unlike an Ensemble it
 // retains no per-repetition results, so it is the right aggregate for
-// 10⁵–10⁶-repetition runs.
+// 10⁵–10⁶-repetition runs:
+//
+//	st := NewBatchStats()
+//	err := eng.RunReduceCtx(ctx, sc, reps, st.Add)
+//
+// The exact statistics (mean, variance, min, max, completion rate) match a
+// RunBatch aggregation up to floating-point accumulation order; the
+// quantiles are P² estimates, not exact order statistics — callers needing
+// exact quantiles over the full sample collect the values themselves.
 type BatchStats struct {
 	// SpreadTime accumulates every repetition's spread time: exact
 	// mean/variance/min/max plus P² median and 0.9-quantile estimates
@@ -113,39 +119,27 @@ type BatchStats struct {
 	Reps int
 }
 
+// NewBatchStats returns an empty aggregate.
+func NewBatchStats() *BatchStats {
+	return &BatchStats{SpreadTime: stats.NewStream(0.5, 0.9)}
+}
+
+// Add folds one repetition's result into the aggregate. It is a Reducer, so
+// st.Add can be passed straight to RunReduceCtx and its siblings; it never
+// fails.
+func (b *BatchStats) Add(rep int, res *sim.Result) error {
+	b.SpreadTime.Add(res.SpreadTime)
+	if res.Completed {
+		b.Completed++
+	}
+	b.Reps++
+	return nil
+}
+
 // CompletionRate returns the fraction of repetitions that completed.
 func (b *BatchStats) CompletionRate() float64 {
 	if b.Reps == 0 {
 		return 0
 	}
 	return float64(b.Completed) / float64(b.Reps)
-}
-
-// RunStats executes reps repetitions through RunReduce and folds each result
-// into a BatchStats as it is produced: memory is O(1) in reps while the
-// repetitions themselves are bit-identical to RunBatch's. The exact
-// statistics (mean, variance, min, max, completion rate) match a RunBatch
-// aggregation up to floating-point accumulation order; the quantiles are P²
-// estimates, not exact order statistics — callers needing exact quantiles
-// over the full sample use RunReduce and collect the values themselves.
-func (e Engine) RunStats(sc Scenario, reps int) (*BatchStats, error) {
-	return e.RunStatsCtx(context.Background(), sc, reps)
-}
-
-// RunStatsCtx is RunStats under a context, with RunReduceCtx's cancellation
-// semantics: a cancelled run returns ctx.Err() and no BatchStats.
-func (e Engine) RunStatsCtx(ctx context.Context, sc Scenario, reps int) (*BatchStats, error) {
-	b := &BatchStats{SpreadTime: stats.NewStream(0.5, 0.9)}
-	err := e.RunReduceCtx(ctx, sc, reps, func(rep int, res *sim.Result) error {
-		b.SpreadTime.Add(res.SpreadTime)
-		if res.Completed {
-			b.Completed++
-		}
-		b.Reps++
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -91,7 +92,7 @@ func TestStreamV2DeterministicAcrossParallelismAndChunks(t *testing.T) {
 			// with the recycled result ring is where a stale-slot bug would
 			// show up.
 			i := 0
-			err = Engine{Parallelism: par, Seed: 11, ChunkSize: chunk}.RunReduce(sc, reps, func(rep int, res *sim.Result) error {
+			err = Engine{Parallelism: par, Seed: 11, ChunkSize: chunk}.RunReduceCtx(context.Background(), sc, reps, func(rep int, res *sim.Result) error {
 				if res.SpreadTime != ref.Results[rep].SpreadTime {
 					t.Fatalf("par=%d chunk=%d: reduced rep %d spread time %v, want %v",
 						par, chunk, rep, res.SpreadTime, ref.Results[rep].SpreadTime)
@@ -119,7 +120,7 @@ func TestStreamV2StatisticallyMatchesV1AtEngineLevel(t *testing.T) {
 	const reps = 300
 	collect := func(stream int) []float64 {
 		out := make([]float64, 0, reps)
-		err := Engine{Parallelism: 1, Seed: 5}.RunReduce(streamScenario(stream), reps, func(rep int, res *sim.Result) error {
+		err := Engine{Parallelism: 1, Seed: 5}.RunReduceCtx(context.Background(), streamScenario(stream), reps, func(rep int, res *sim.Result) error {
 			out = append(out, res.SpreadTime)
 			return nil
 		})

@@ -45,21 +45,28 @@ func RunE12(cfg Config) (*Table, error) {
 			last         float64
 			fwd, twoPush bool
 		}
-		crossings, err := runner.Map(context.Background(), cfg.Parallelism, reps, rng, func(rep int, sub *xrand.RNG) (crossing, error) {
-			fw, err := sim.RunForwardTwoPush(g, sim.LayeredOptions{Layers: layers, Horizon: 1}, sub.Split(1))
-			if err != nil {
-				return crossing{}, fmt.Errorf("forward 2-push: %w", err)
-			}
-			tp, err := sim.RunTwoPushOnLayers(g, sim.LayeredOptions{Layers: layers, Horizon: 1}, sub.Split(2))
-			if err != nil {
-				return crossing{}, fmt.Errorf("2-push: %w", err)
-			}
-			return crossing{
-				last:    float64(fw.InformedPerLayer[inst.k]),
-				fwd:     fw.ReachedLast,
-				twoPush: tp.ReachedLast,
-			}, nil
-		})
+		crossings := make([]crossing, reps)
+		err = runner.Run(context.Background(), runner.Plan{Count: reps, Parallelism: cfg.Parallelism}, rng,
+			func() struct{} { return struct{}{} },
+			func(rep int, sub *xrand.RNG, _ struct{}) (crossing, error) {
+				fw, err := sim.RunForwardTwoPush(g, sim.LayeredOptions{Layers: layers, Horizon: 1}, sub.Split(1))
+				if err != nil {
+					return crossing{}, fmt.Errorf("forward 2-push: %w", err)
+				}
+				tp, err := sim.RunTwoPushOnLayers(g, sim.LayeredOptions{Layers: layers, Horizon: 1}, sub.Split(2))
+				if err != nil {
+					return crossing{}, fmt.Errorf("2-push: %w", err)
+				}
+				return crossing{
+					last:    float64(fw.InformedPerLayer[inst.k]),
+					fwd:     fw.ReachedLast,
+					twoPush: tp.ReachedLast,
+				}, nil
+			},
+			func(rep int, c crossing) error {
+				crossings[rep] = c
+				return nil
+			})
 		if err != nil {
 			return nil, err
 		}

@@ -43,13 +43,18 @@ func RunE9(cfg Config) (*Table, error) {
 			return nil, fmt.Errorf("regular graph n=%d d=%d: %w", inst.n, inst.delta, err)
 		}
 		net := dynamic.NewStatic(g)
-		counts, err := runner.MapLocal(context.Background(), cfg.Parallelism, reps, rng, newRepScratch,
+		counts := make([]float64, reps)
+		err = runner.Run(context.Background(), runner.Plan{Count: reps, Parallelism: cfg.Parallelism}, rng, newRepScratch,
 			func(rep int, sub *xrand.RNG, rs *repScratch) (float64, error) {
 				res, err := sim.RunAsyncInto(net, sim.AsyncOptions{Start: rep % inst.n, MaxTime: 1}, sub, rs.sc, &rs.res)
 				if err != nil {
 					return 0, fmt.Errorf("async run: %w", err)
 				}
 				return float64(res.Informed), nil
+			},
+			func(rep int, c float64) error {
+				counts[rep] = c
+				return nil
 			})
 		if err != nil {
 			return nil, err

@@ -1,14 +1,11 @@
 package experiment
 
 import (
-	"context"
-
 	"reflect"
 	"testing"
 
 	"dynamicrumor/internal/dynamic"
 	"dynamicrumor/internal/gen"
-	"dynamicrumor/internal/runner"
 	"dynamicrumor/internal/sim"
 	"dynamicrumor/internal/xrand"
 )
@@ -28,19 +25,18 @@ func TestMeasureHelpersMatchHistoricalLoop(t *testing.T) {
 	}
 
 	historicalAsync := func(base *xrand.RNG) []float64 {
-		out, err := runner.Map(context.Background(), 1, reps, base, func(rep int, sub *xrand.RNG) (float64, error) {
+		out := make([]float64, reps)
+		for rep := range out {
+			sub := base.Split(uint64(rep) + 1)
 			net, start, err := factory(sub.Split(1))
 			if err != nil {
-				return 0, err
+				t.Fatal(err)
 			}
 			res, err := sim.RunAsync(net, sim.AsyncOptions{Start: start}, sub.Split(2))
 			if err != nil {
-				return 0, err
+				t.Fatal(err)
 			}
-			return res.SpreadTime, nil
-		})
-		if err != nil {
-			t.Fatal(err)
+			out[rep] = res.SpreadTime
 		}
 		return out
 	}
@@ -54,19 +50,18 @@ func TestMeasureHelpersMatchHistoricalLoop(t *testing.T) {
 	}
 
 	historicalSync := func(base *xrand.RNG) []float64 {
-		out, err := runner.Map(context.Background(), 1, reps, base, func(rep int, sub *xrand.RNG) (float64, error) {
+		out := make([]float64, reps)
+		for rep := range out {
+			sub := base.Split(uint64(rep) + 1)
 			net, start, err := factory(sub.Split(1))
 			if err != nil {
-				return 0, err
+				t.Fatal(err)
 			}
 			res, err := sim.RunSync(net, sim.SyncOptions{Start: start}, sub.Split(2))
 			if err != nil {
-				return 0, err
+				t.Fatal(err)
 			}
-			return res.SpreadTime, nil
-		})
-		if err != nil {
-			t.Fatal(err)
+			out[rep] = res.SpreadTime
 		}
 		return out
 	}

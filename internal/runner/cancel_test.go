@@ -38,8 +38,7 @@ func TestMapReduceCancelMidBatch(t *testing.T) {
 	defer cancel()
 	var reduced []int
 	err := waitDone(t, 30*time.Second, func() error {
-		return MapReduce(ctx, 8, reps, xrand.New(1),
-			func() struct{} { return struct{}{} },
+		return Run(ctx, Plan{Count: reps, Parallelism: 8}, xrand.New(1), noLocal,
 			func(rep int, rng *xrand.RNG, _ struct{}) (float64, error) {
 				return rng.Float64(), nil
 			},
@@ -52,7 +51,7 @@ func TestMapReduceCancelMidBatch(t *testing.T) {
 			})
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("MapReduce returned %v, want context.Canceled", err)
+		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
 	if len(reduced) == reps {
 		t.Fatalf("cancellation mid-batch still reduced all %d repetitions", reps)
@@ -75,8 +74,7 @@ func TestMapReduceCancelExternal(t *testing.T) {
 		var started atomic.Int64
 		errc := make(chan error, 1)
 		go func() {
-			errc <- MapReduce(ctx, par, 100000, xrand.New(2),
-				func() struct{} { return struct{}{} },
+			errc <- Run(ctx, Plan{Count: 100000, Parallelism: par}, xrand.New(2), noLocal,
 				func(rep int, rng *xrand.RNG, _ struct{}) (int, error) {
 					started.Add(1)
 					time.Sleep(200 * time.Microsecond)
@@ -94,7 +92,7 @@ func TestMapReduceCancelExternal(t *testing.T) {
 				t.Fatalf("par=%d: got %v, want context.Canceled", par, err)
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatalf("par=%d: MapReduce did not return after cancel", par)
+			t.Fatalf("par=%d: Run did not return after cancel", par)
 		}
 		if n := started.Load(); n == 100000 {
 			t.Fatalf("par=%d: cancellation did not stop the batch early", par)
@@ -102,14 +100,20 @@ func TestMapReduceCancelExternal(t *testing.T) {
 	}
 }
 
-// TestMapCancel covers the MapLocal paths: a job cancels its own run, and the
-// call reports context.Canceled instead of partial results.
+// TestMapCancel: a job cancels its own run, and the collecting run reports
+// context.Canceled instead of partial results. Repetitions after the
+// cancelling one wait for the cancellation: rep 50 is claimed before any of
+// them and a claimed chunk runs to completion, so it is certain to run, and
+// the claims cannot run past the last repetition before it lands.
 func TestMapCancel(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		out, err := Map(ctx, par, 5000, xrand.New(3), func(rep int, rng *xrand.RNG) (int, error) {
+		out, err := collect(ctx, Plan{Count: 5000, Parallelism: par}, xrand.New(3), func(rep int, rng *xrand.RNG) (int, error) {
 			if rep == 50 {
 				cancel()
+			}
+			if rep > 50 {
+				<-ctx.Done()
 			}
 			return rep, nil
 		})
@@ -117,7 +121,7 @@ func TestMapCancel(t *testing.T) {
 			t.Fatalf("par=%d: got %v, want context.Canceled", par, err)
 		}
 		if out != nil {
-			t.Fatalf("par=%d: cancelled Map returned results", par)
+			t.Fatalf("par=%d: cancelled run returned results", par)
 		}
 	}
 }
@@ -127,16 +131,16 @@ func TestMapCancel(t *testing.T) {
 func TestMapPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ran := 0
-	_, err := Map(ctx, 4, 16, xrand.New(4), func(rep int, rng *xrand.RNG) (int, error) {
-		ran++
+	var ran atomic.Int64
+	_, err := collect(ctx, Plan{Count: 16, Parallelism: 4}, xrand.New(4), func(rep int, rng *xrand.RNG) (int, error) {
+		ran.Add(1)
 		return rep, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if ran != 0 {
-		t.Fatalf("pre-cancelled run executed %d repetitions", ran)
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("pre-cancelled run executed %d repetitions", n)
 	}
 }
 
@@ -145,29 +149,36 @@ func TestMapPreCancelled(t *testing.T) {
 // of batches stay deterministic whether or not a batch was cancelled — and
 // the same holds when a repetition error and a cancellation race, where the
 // error return path must still drain the claims the cancellation stopped.
+//
+// In the cancel-only case, repetitions after the cancelling rep 20 wait for
+// the cancellation, which rep 20 is certain to deliver, so the run cannot
+// finish before it lands. The error case must not wait: rep 10's failure
+// aborts the run, and rep 20, in the same chunk, may never run.
 func TestCancelDrainsBase(t *testing.T) {
 	const reps = 200
-	jobs := map[string]Job[int]{
-		"cancel only": func(rep int, rng *xrand.RNG) (int, error) {
-			return rep, nil
-		},
-		"error then cancel": func(rep int, rng *xrand.RNG) (int, error) {
-			if rep == 10 {
-				return 0, errors.New("boom")
-			}
-			return rep, nil
-		},
+	cases := map[string]struct {
+		fail int // the failing repetition, or -1
+		wait bool
+	}{
+		"cancel only":       {fail: -1, wait: true},
+		"error then cancel": {fail: 10},
 	}
-	for name, fn := range jobs {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			base := xrand.New(7)
-			_, err := Map(ctx, 4, reps, base, func(rep int, rng *xrand.RNG) (int, error) {
+			_, err := collect(ctx, Plan{Count: reps, Parallelism: 4}, base, func(rep int, rng *xrand.RNG) (int, error) {
 				if rep == 20 {
 					cancel()
 				}
-				return fn(rep, rng)
+				if tc.wait && rep > 20 {
+					<-ctx.Done()
+				}
+				if rep == tc.fail {
+					return 0, errors.New("boom")
+				}
+				return rep, nil
 			})
 			if err == nil {
 				t.Fatal("run reported no error")
@@ -190,8 +201,7 @@ func TestRepErrorBeatsCancel(t *testing.T) {
 	boom := errors.New("boom")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := MapReduce(ctx, 4, 1000, xrand.New(5),
-		func() struct{} { return struct{}{} },
+	err := Run(ctx, Plan{Count: 1000, Parallelism: 4}, xrand.New(5), noLocal,
 		func(rep int, rng *xrand.RNG, _ struct{}) (int, error) {
 			if rep == 10 {
 				return 0, boom

@@ -37,7 +37,7 @@ func TestChunkFor(t *testing.T) {
 
 // chunkProbeJob consumes a rep-dependent number of draws so any
 // stream-to-repetition mixup under chunked claiming changes the output.
-func chunkProbeJob(rep int, rng *xrand.RNG, _ struct{}) (float64, error) {
+func chunkProbeJob(rep int, rng *xrand.RNG) (float64, error) {
 	sum := 0.0
 	for i := 0; i <= rep%5; i++ {
 		sum += rng.Float64()
@@ -47,36 +47,38 @@ func chunkProbeJob(rep int, rng *xrand.RNG, _ struct{}) (float64, error) {
 
 // TestChunkSizesByteIdentical is the chunk-equivalence regression test:
 // chunk size 1 reproduces the historical per-repetition claiming, and every
-// other chunk size produces byte-identical outputs, across parallelism
-// 1/3/8 and two seeds, on both the map and the reduce path.
+// other chunk size produces byte-identical outputs, reduced in repetition
+// order, across parallelism 1/3/8 and two seeds, both collected by index and
+// streamed through an order-checking reducer.
 func TestChunkSizesByteIdentical(t *testing.T) {
 	const reps = 97 // intentionally not a multiple of any chunk size below
-	newLocal := func() struct{} { return struct{}{} }
 	for _, seed := range []uint64{7, 20200424} {
 		// Reference: the serial per-repetition path (parallelism 1, chunk 1)
 		// is exactly what the pre-chunking runner produced.
-		want, err := MapLocalOpts(context.Background(), Options{Parallelism: 1, ChunkSize: 1},
-			reps, xrand.New(seed), newLocal, chunkProbeJob)
+		want, err := collect(context.Background(), Plan{Count: reps, Parallelism: 1, ChunkSize: 1},
+			xrand.New(seed), chunkProbeJob)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []int{1, 3, 8} {
 			for _, chunk := range []int{0, 1, 2, 7, 64, reps + 10} {
-				opts := Options{Parallelism: par, ChunkSize: chunk}
+				plan := Plan{Count: reps, Parallelism: par, ChunkSize: chunk}
 				label := fmt.Sprintf("seed=%d par=%d chunk=%d", seed, par, chunk)
 
-				got, err := MapLocalOpts(context.Background(), opts, reps, xrand.New(seed), newLocal, chunkProbeJob)
+				// The collecting reducer E9 and E12 use.
+				got, err := collect(context.Background(), plan, xrand.New(seed), chunkProbeJob)
 				if err != nil {
-					t.Fatalf("%s: MapLocalOpts: %v", label, err)
+					t.Fatalf("%s: collect: %v", label, err)
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("%s: MapLocalOpts rep %d = %v, want %v", label, i, got[i], want[i])
+						t.Fatalf("%s: collect rep %d = %v, want %v", label, i, got[i], want[i])
 					}
 				}
 
 				reduced := make([]float64, 0, reps)
-				err = MapReduceOpts(context.Background(), opts, reps, xrand.New(seed), newLocal, chunkProbeJob,
+				err = Run(context.Background(), plan, xrand.New(seed), noLocal,
+					func(rep int, rng *xrand.RNG, _ struct{}) (float64, error) { return chunkProbeJob(rep, rng) },
 					func(rep int, v float64) error {
 						if rep != len(reduced) {
 							return fmt.Errorf("reduce called with rep %d, want %d", rep, len(reduced))
@@ -85,14 +87,14 @@ func TestChunkSizesByteIdentical(t *testing.T) {
 						return nil
 					})
 				if err != nil {
-					t.Fatalf("%s: MapReduceOpts: %v", label, err)
+					t.Fatalf("%s: Run: %v", label, err)
 				}
 				if len(reduced) != reps {
 					t.Fatalf("%s: reduced %d reps, want %d", label, len(reduced), reps)
 				}
 				for i := range reduced {
 					if reduced[i] != want[i] {
-						t.Fatalf("%s: MapReduceOpts rep %d = %v, want %v", label, i, reduced[i], want[i])
+						t.Fatalf("%s: rep %d = %v, want %v", label, i, reduced[i], want[i])
 					}
 				}
 			}
@@ -104,13 +106,12 @@ func TestChunkSizesByteIdentical(t *testing.T) {
 // in the identical fully-advanced state as per-repetition claiming.
 func TestChunkedBaseAdvance(t *testing.T) {
 	a, b := xrand.New(11), xrand.New(11)
-	newLocal := func() struct{} { return struct{}{} }
 	job := func(rep int, _ *xrand.RNG, _ struct{}) (int, error) { return rep, nil }
-	if _, err := MapLocalOpts(context.Background(), Options{Parallelism: 1, ChunkSize: 1}, 33, a, newLocal, job); err != nil {
+	discard := func(int, int) error { return nil }
+	if err := Run(context.Background(), Plan{Count: 33, Parallelism: 1, ChunkSize: 1}, a, noLocal, job, discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := MapReduceOpts(context.Background(), Options{Parallelism: 4, ChunkSize: 8}, 33, b, newLocal, job,
-		func(int, int) error { return nil }); err != nil {
+	if err := Run(context.Background(), Plan{Count: 33, Parallelism: 4, ChunkSize: 8}, b, noLocal, job, discard); err != nil {
 		t.Fatal(err)
 	}
 	if a.Uint64() != b.Uint64() {
@@ -130,8 +131,7 @@ func TestMapReduceCancelMidChunk(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var reduced []int
 		err := waitDone(t, 30*time.Second, func() error {
-			return MapReduceOpts(ctx, Options{Parallelism: 8, ChunkSize: chunk}, reps, xrand.New(1),
-				func() struct{} { return struct{}{} },
+			return Run(ctx, Plan{Count: reps, Parallelism: 8, ChunkSize: chunk}, xrand.New(1), noLocal,
 				func(rep int, rng *xrand.RNG, _ struct{}) (float64, error) {
 					return rng.Float64(), nil
 				},
@@ -168,8 +168,7 @@ func TestMapReduceChunkedCancelDrainsBase(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	base := xrand.New(7)
-	err := MapReduceOpts(ctx, Options{Parallelism: 4, ChunkSize: 16}, reps, base,
-		func() struct{} { return struct{}{} },
+	err := Run(ctx, Plan{Count: reps, Parallelism: 4, ChunkSize: 16}, base, noLocal,
 		func(rep int, rng *xrand.RNG, _ struct{}) (int, error) { return rep, nil },
 		func(rep int, v int) error {
 			if rep == 40 {
@@ -199,8 +198,8 @@ func TestMapReduceErrorInChunk(t *testing.T) {
 		for _, chunk := range []int{1, 4, 16, 64} {
 			label := fmt.Sprintf("par=%d chunk=%d", par, chunk)
 			reduced := 0
-			err := MapReduceOpts(context.Background(), Options{Parallelism: par, ChunkSize: chunk},
-				200, xrand.New(3), func() struct{} { return struct{}{} },
+			err := Run(context.Background(), Plan{Count: 200, Parallelism: par, ChunkSize: chunk},
+				xrand.New(3), noLocal,
 				func(rep int, _ *xrand.RNG, _ struct{}) (int, error) {
 					// 21 sits mid-chunk for every chunk size above; 35 and 150
 					// are later failures that must lose deterministically.
@@ -228,13 +227,12 @@ func TestMapReduceErrorInChunk(t *testing.T) {
 }
 
 // TestMapLocalErrorInChunk mirrors the deterministic lowest-rep error
-// contract on the map path under chunked claiming.
+// contract on a collecting run under chunked claiming.
 func TestMapLocalErrorInChunk(t *testing.T) {
 	boom := errors.New("boom")
 	for _, chunk := range []int{1, 8, 64} {
-		_, err := MapLocalOpts(context.Background(), Options{Parallelism: 4, ChunkSize: chunk},
-			100, xrand.New(9), func() struct{} { return struct{}{} },
-			func(rep int, _ *xrand.RNG, _ struct{}) (int, error) {
+		_, err := collect(context.Background(), Plan{Count: 100, Parallelism: 4, ChunkSize: chunk},
+			xrand.New(9), func(rep int, _ *xrand.RNG) (int, error) {
 				if rep == 30 || rep == 60 {
 					return 0, boom
 				}
@@ -252,8 +250,8 @@ func TestMapLocalErrorInChunk(t *testing.T) {
 // the failure point.
 func TestMapReduceChunkedReducerError(t *testing.T) {
 	stop := errors.New("stop")
-	err := MapReduceOpts(context.Background(), Options{Parallelism: 4, ChunkSize: 16},
-		10000, xrand.New(4), func() struct{} { return struct{}{} },
+	err := Run(context.Background(), Plan{Count: 10000, Parallelism: 4, ChunkSize: 16},
+		xrand.New(4), noLocal,
 		func(rep int, _ *xrand.RNG, _ struct{}) (int, error) { return rep, nil },
 		func(rep int, v int) error {
 			if rep == 10 {

@@ -13,11 +13,11 @@ import (
 )
 
 // TestMapReduceMatchesMapLocal pins the core contract: for every parallelism
-// the reduced sequence is exactly the MapLocal result slice, in repetition
+// the reduced sequence is exactly the serial run's values, in repetition
 // order.
 func TestMapReduceMatchesMapLocal(t *testing.T) {
 	const reps = 64
-	job := func(rep int, rng *xrand.RNG, _ struct{}) (float64, error) {
+	job := func(rep int, rng *xrand.RNG) (float64, error) {
 		// Consume a rep-dependent number of draws so stream mixups surface.
 		sum := 0.0
 		for i := 0; i <= rep%7; i++ {
@@ -25,13 +25,14 @@ func TestMapReduceMatchesMapLocal(t *testing.T) {
 		}
 		return sum + float64(rep), nil
 	}
-	want, err := MapLocal(context.Background(), 1, reps, xrand.New(42), func() struct{} { return struct{}{} }, job)
+	want, err := collect(context.Background(), Plan{Count: reps, Parallelism: 1}, xrand.New(42), job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 2, 3, 8, 16} {
 		got := make([]float64, 0, reps)
-		err := MapReduce(context.Background(), par, reps, xrand.New(42), func() struct{} { return struct{}{} }, job,
+		err := Run(context.Background(), Plan{Count: reps, Parallelism: par}, xrand.New(42), noLocal,
+			func(rep int, rng *xrand.RNG, _ struct{}) (float64, error) { return job(rep, rng) },
 			func(rep int, v float64) error {
 				if rep != len(got) {
 					return fmt.Errorf("reduce called with rep %d, want %d", rep, len(got))
@@ -58,7 +59,7 @@ func TestMapReduceMatchesMapLocal(t *testing.T) {
 func TestMapReduceOrderUnderSkew(t *testing.T) {
 	const reps = 40
 	next := 0
-	err := MapReduce(context.Background(), 8, reps, xrand.New(1), func() struct{} { return struct{}{} },
+	err := Run(context.Background(), Plan{Count: reps, Parallelism: 8}, xrand.New(1), noLocal,
 		func(rep int, _ *xrand.RNG, _ struct{}) (int, error) {
 			if rep%5 == 0 {
 				time.Sleep(2 * time.Millisecond)
@@ -80,22 +81,27 @@ func TestMapReduceOrderUnderSkew(t *testing.T) {
 	}
 }
 
-// TestMapReduceAdvancesBaseLikeMapLocal pins that both entry points leave the
-// base generator in the same state, so a caller can interleave them in a
-// longer deterministic experiment.
+// TestMapReduceAdvancesBaseLikeMapLocal pins that a serial and a parallel run
+// both leave the base generator advanced exactly one draw per repetition, so
+// a caller can interleave runs in a longer deterministic experiment.
 func TestMapReduceAdvancesBaseLikeMapLocal(t *testing.T) {
-	a, b := xrand.New(9), xrand.New(9)
-	if _, err := MapLocal(context.Background(), 4, 17, a, func() struct{} { return struct{}{} },
-		func(rep int, _ *xrand.RNG, _ struct{}) (int, error) { return rep, nil }); err != nil {
-		t.Fatal(err)
+	a, b, ref := xrand.New(9), xrand.New(9), xrand.New(9)
+	job := func(rep int, _ *xrand.RNG, _ struct{}) (int, error) { return rep, nil }
+	for _, run := range []struct {
+		base *xrand.RNG
+		par  int
+	}{{a, 1}, {b, 4}} {
+		if err := Run(context.Background(), Plan{Count: 17, Parallelism: run.par}, run.base, noLocal, job,
+			func(int, int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := MapReduce(context.Background(), 4, 17, b, func() struct{} { return struct{}{} },
-		func(rep int, _ *xrand.RNG, _ struct{}) (int, error) { return rep, nil },
-		func(int, int) error { return nil }); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 17; i++ {
+		ref.Uint64()
 	}
-	if a.Uint64() != b.Uint64() {
-		t.Fatal("MapLocal and MapReduce advanced the base generator differently")
+	want := ref.Uint64()
+	if a.Uint64() != want || b.Uint64() != want {
+		t.Fatal("serial and parallel runs advanced the base generator differently")
 	}
 }
 
@@ -106,7 +112,7 @@ func TestMapReduceJobError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, par := range []int{1, 4} {
 		reduced := 0
-		err := MapReduce(context.Background(), par, 50, xrand.New(3), func() struct{} { return struct{}{} },
+		err := Run(context.Background(), Plan{Count: 50, Parallelism: par}, xrand.New(3), noLocal,
 			func(rep int, _ *xrand.RNG, _ struct{}) (int, error) {
 				if rep == 20 || rep == 35 {
 					return 0, boom
@@ -131,12 +137,14 @@ func TestMapReduceJobError(t *testing.T) {
 }
 
 // TestMapReduceReducerError checks that a reducer failure aborts the run and
-// is returned unwrapped.
+// is returned unwrapped. ChunkSize 1 makes the bound below a per-repetition
+// one (TestMapReduceChunkedReducerError covers chunks): each worker holds at
+// most one claimed repetition when the abort lands.
 func TestMapReduceReducerError(t *testing.T) {
 	stop := errors.New("stop")
 	for _, par := range []int{1, 6} {
 		var ran atomic.Int64
-		err := MapReduce(context.Background(), par, 100, xrand.New(4), func() struct{} { return struct{}{} },
+		err := Run(context.Background(), Plan{Count: 100, Parallelism: par, ChunkSize: 1}, xrand.New(4), noLocal,
 			func(rep int, _ *xrand.RNG, _ struct{}) (int, error) {
 				ran.Add(1)
 				return rep, nil
@@ -158,11 +166,11 @@ func TestMapReduceReducerError(t *testing.T) {
 	}
 }
 
-// TestMapReduceZeroReps mirrors Map's no-op contract.
+// TestMapReduceZeroReps: a run with no repetitions is a no-op.
 func TestMapReduceZeroReps(t *testing.T) {
-	err := MapReduce(context.Background(), 4, 0, xrand.New(1), func() struct{} { return struct{}{} },
+	err := Run(context.Background(), Plan{Parallelism: 4}, xrand.New(1), noLocal,
 		func(rep int, _ *xrand.RNG, _ struct{}) (int, error) { return 0, nil },
-		func(int, int) error { t.Fatal("reduce called"); return nil })
+		func(int, int) error { t.Error("reduce called"); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +187,7 @@ func TestMapLazyStreamsMatchEagerStreams(t *testing.T) {
 		wantFirst[i] = s.Uint64()
 	}
 	for _, par := range []int{1, 5} {
-		got, err := Map(context.Background(), par, reps, xrand.New(77), func(rep int, rng *xrand.RNG) (uint64, error) {
+		got, err := collect(context.Background(), Plan{Count: reps, Parallelism: par}, xrand.New(77), func(rep int, rng *xrand.RNG) (uint64, error) {
 			return rng.Uint64(), nil
 		})
 		if err != nil {

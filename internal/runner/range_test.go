@@ -17,12 +17,12 @@ func rangeJob(rep int, rng *xrand.RNG, _ struct{}) (uint64, error) {
 
 func noLocal() struct{} { return struct{}{} }
 
-// collectFull runs a whole MapReduce and returns the reduced values in order.
+// collectFull runs a whole run from 0 and returns the reduced values in order.
 func collectFull(t *testing.T, parallelism, chunk, reps int, seed uint64) []uint64 {
 	t.Helper()
 	out := make([]uint64, 0, reps)
-	err := MapReduceOpts(context.Background(), Options{Parallelism: parallelism, ChunkSize: chunk},
-		reps, xrand.New(seed), noLocal, rangeJob,
+	err := Run(context.Background(), Plan{Count: reps, Parallelism: parallelism, ChunkSize: chunk},
+		xrand.New(seed), noLocal, rangeJob,
 		func(rep int, v uint64) error {
 			if rep != len(out) {
 				t.Fatalf("reducer saw rep %d, want %d", rep, len(out))
@@ -60,9 +60,9 @@ func TestMapReduceRangeMatchesFullRun(t *testing.T) {
 						continue
 					}
 					base := xrand.New(seed)
-					err := MapReduceRangeOpts(context.Background(),
-						Options{Parallelism: parallelism, ChunkSize: chunk},
-						start, count, base, noLocal, rangeJob,
+					err := Run(context.Background(),
+						Plan{Start: start, Count: count, Parallelism: parallelism, ChunkSize: chunk},
+						base, noLocal, rangeJob,
 						func(rep int, v uint64) error {
 							if rep != len(got) {
 								t.Fatalf("range [%d,%d): reducer saw rep %d, want %d", start, start+count, rep, len(got))
@@ -97,14 +97,14 @@ func TestMapReduceRangeMatchesFullRun(t *testing.T) {
 // TestMapReduceRangeErrors: negative starts are rejected; a failing
 // repetition reports its global index.
 func TestMapReduceRangeErrors(t *testing.T) {
-	err := MapReduceRange(context.Background(), 2, -1, 5, xrand.New(1), noLocal, rangeJob,
+	err := Run(context.Background(), Plan{Start: -1, Count: 5, Parallelism: 2}, xrand.New(1), noLocal, rangeJob,
 		func(int, uint64) error { return nil })
 	if err == nil {
 		t.Fatal("negative start accepted")
 	}
 
 	boom := errors.New("boom")
-	err = MapReduceRange(context.Background(), 2, 10, 5, xrand.New(1), noLocal,
+	err = Run(context.Background(), Plan{Start: 10, Count: 5, Parallelism: 2}, xrand.New(1), noLocal,
 		func(rep int, rng *xrand.RNG, _ struct{}) (uint64, error) {
 			if rep == 12 {
 				return 0, boom

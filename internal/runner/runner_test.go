@@ -20,6 +20,23 @@ func drain(rep int, rng *xrand.RNG) (uint64, error) {
 	return h, nil
 }
 
+// collect runs fn over the plan's range through Run with a reducer that
+// stores every value by index — the collecting pattern of E9 and E12 — and
+// returns the values in repetition order, or nil and the run's error.
+func collect[T any](ctx context.Context, p Plan, base *xrand.RNG, fn func(rep int, rng *xrand.RNG) (T, error)) ([]T, error) {
+	out := make([]T, max(p.Count, 0))
+	err := Run(ctx, p, base, noLocal,
+		func(rep int, rng *xrand.RNG, _ struct{}) (T, error) { return fn(rep, rng) },
+		func(rep int, v T) error {
+			out[rep-p.Start] = v
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestMapMatchesSerialLoop(t *testing.T) {
 	const reps = 33
 	// The historical serial pattern: split the base RNG inside the loop.
@@ -33,7 +50,7 @@ func TestMapMatchesSerialLoop(t *testing.T) {
 		want[rep] = v
 	}
 	for _, p := range []int{0, 1, 2, 3, 8, 64} {
-		got, err := Map(context.Background(), p, reps, xrand.New(42), drain)
+		got, err := collect(context.Background(), Plan{Count: reps, Parallelism: p}, xrand.New(42), drain)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)
 		}
@@ -45,17 +62,27 @@ func TestMapMatchesSerialLoop(t *testing.T) {
 	}
 }
 
+// TestMapZeroReps: an empty or negative count runs nothing, reduces nothing
+// and leaves the base generator untouched.
 func TestMapZeroReps(t *testing.T) {
-	out, err := Map(context.Background(), 4, 0, xrand.New(1), drain)
-	if err != nil || out != nil {
-		t.Fatalf("Map with 0 reps = (%v, %v), want (nil, nil)", out, err)
+	for _, count := range []int{0, -3} {
+		base := xrand.New(1)
+		err := Run(context.Background(), Plan{Count: count, Parallelism: 4}, base, noLocal,
+			func(int, *xrand.RNG, struct{}) (uint64, error) { t.Error("job called"); return 0, nil },
+			func(int, uint64) error { t.Error("reduce called"); return nil })
+		if err != nil {
+			t.Fatalf("count %d: %v", count, err)
+		}
+		if base.Uint64() != xrand.New(1).Uint64() {
+			t.Fatalf("count %d: base generator advanced", count)
+		}
 	}
 }
 
 func TestMapReturnsLowestIndexedError(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, p := range []int{1, 4} {
-		_, err := Map(context.Background(), p, 16, xrand.New(9), func(rep int, _ *xrand.RNG) (int, error) {
+		_, err := collect(context.Background(), Plan{Count: 16, Parallelism: p}, xrand.New(9), func(rep int, _ *xrand.RNG) (int, error) {
 			if rep%5 == 2 { // reps 2, 7, 12 fail
 				return 0, sentinel
 			}
@@ -80,7 +107,7 @@ func TestMapReturnsLowestIndexedError(t *testing.T) {
 func TestMapRunsEveryRepExactlyOnce(t *testing.T) {
 	const reps = 200
 	var calls [reps]atomic.Int32
-	out, err := Map(context.Background(), 8, reps, xrand.New(3), func(rep int, _ *xrand.RNG) (int, error) {
+	out, err := collect(context.Background(), Plan{Count: reps, Parallelism: 8}, xrand.New(3), func(rep int, _ *xrand.RNG) (int, error) {
 		calls[rep].Add(1)
 		return rep * rep, nil
 	})

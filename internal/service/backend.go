@@ -100,16 +100,24 @@ type readyChecker interface {
 // byte for byte.
 type LocalBackend struct{}
 
-// Run executes the repetitions on Workers engine goroutines. A run carrying
-// a sweep's compile set compiles through it, sharing deterministic networks
-// with the sweep's other cells; compilation through a set is bit-identical
-// to plain execution (see engine.CompileSet), so the two paths produce the
-// same summary bytes.
+// Run compiles the scenario — through the sweep's compile set when the run
+// carries one, sharing deterministic networks with the sweep's other cells —
+// and executes the repetitions on Workers engine goroutines. Compilation
+// through a set is bit-identical to plain compilation (see
+// engine.CompileSet), so a plain run and a sweep cell produce the same
+// summary bytes.
 func (LocalBackend) Run(ctx context.Context, run BackendRun) (BackendResult, error) {
+	start := time.Now()
+	compiled, err := run.Compile.Compile(run.Scenario)
+	run.Trace.Add(obs.Span{Name: "compiled", Start: start, End: time.Now()})
+	if err != nil {
+		return BackendResult{}, err
+	}
 	eng := engine.Engine{Parallelism: run.Workers, Seed: run.Seed}
 	stream := NewSummaryStream()
 	completed := 0
-	reduce := func(rep int, res *sim.Result) error {
+	e0 := time.Now()
+	err = eng.RunReduceCompiledCtx(ctx, compiled, run.Reps, func(rep int, res *sim.Result) error {
 		stream.Add(res.SpreadTime)
 		if res.Completed {
 			completed++
@@ -118,22 +126,8 @@ func (LocalBackend) Run(ctx context.Context, run BackendRun) (BackendResult, err
 			run.Observe(1)
 		}
 		return nil
-	}
-	var err error
-	start := time.Now()
-	if run.Compile != nil {
-		var compiled *engine.Compiled
-		compiled, err = run.Compile.Compile(run.Scenario)
-		run.Trace.Add(obs.Span{Name: "compiled", Start: start, End: time.Now()})
-		if err == nil {
-			e0 := time.Now()
-			err = eng.RunReduceCompiledCtx(ctx, compiled, run.Reps, reduce)
-			run.Trace.Add(obs.Span{Name: "execute", Start: e0, End: time.Now()})
-		}
-	} else {
-		err = eng.RunReduceCtx(ctx, run.Scenario, run.Reps, reduce)
-		run.Trace.Add(obs.Span{Name: "execute", Start: start, End: time.Now()})
-	}
+	})
+	run.Trace.Add(obs.Span{Name: "execute", Start: e0, End: time.Now()})
 	if err != nil {
 		return BackendResult{}, err
 	}

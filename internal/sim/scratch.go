@@ -8,7 +8,8 @@ package sim
 // its repetitions and the simulate loop stops allocating in steady state.
 //
 // A Scratch must not be shared between concurrent runs; the runner hands each
-// worker goroutine its own (see runner.MapLocal and engine.RunBatchFrom).
+// worker goroutine its own (see runner.Run's per-worker local state, which
+// the engine uses for exactly this).
 // All Run*Into entry points accept a nil Scratch and fall back to a
 // throwaway one, which is exactly what the historical RunAsync/RunSync/
 // RunFlooding wrappers do.

@@ -1,6 +1,7 @@
 package statcheck_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestStreamV2EquivalenceSuite(t *testing.T) {
 				sc := engine.Scenario{Network: tc.spec, Mode: tc.mode, Stream: stream}
 				eng := engine.Engine{Parallelism: 3, ChunkSize: 4, Seed: tc.seed}
 				out := make([]float64, 0, tc.reps)
-				err := eng.RunReduce(sc, tc.reps, func(rep int, res *sim.Result) error {
+				err := eng.RunReduceCtx(context.Background(), sc, tc.reps, func(rep int, res *sim.Result) error {
 					if res.Informed != res.N {
 						return fmt.Errorf("rep %d: only %d/%d informed — family must complete for spread times to be comparable", rep, res.Informed, res.N)
 					}

@@ -178,7 +178,8 @@ func (e *P2Quantile) Value() float64 {
 
 // Stream summarizes a stream of observations in O(1) memory: exact running
 // mean/variance/min/max via Welford plus P² estimates for a fixed set of
-// quantiles. It is what Engine.RunStats folds every repetition into.
+// quantiles. It is what engine.BatchStats and rumord's run summaries fold
+// every repetition into.
 type Stream struct {
 	Welford
 	quantiles []*P2Quantile

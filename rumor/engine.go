@@ -33,10 +33,12 @@ type (
 	Engine = engine.Engine
 	// Ensemble aggregates the results of a batch run.
 	Ensemble = engine.Ensemble
-	// Reducer consumes one repetition's result during Engine.RunReduce; it is
-	// called in strict repetition order and must not retain the result.
+	// Reducer consumes one repetition's result during Engine.RunReduceCtx;
+	// it is called in strict repetition order and must not retain the
+	// result.
 	Reducer = engine.Reducer
-	// BatchStats is the O(1)-memory aggregate returned by Engine.RunStats.
+	// BatchStats is the O(1)-memory aggregate of a streaming run; its Add
+	// method is a Reducer.
 	BatchStats = engine.BatchStats
 	// Protocol is the execution contract unifying the three simulators.
 	Protocol = sim.Protocol
@@ -62,6 +64,13 @@ type (
 	// FloodingProtocol is the flooding simulator as a Protocol.
 	FloodingProtocol = sim.FloodingProtocol
 )
+
+// NewBatchStats returns an empty streaming aggregate; hand its Add method to
+// Engine.RunReduceCtx to fold a run into it in O(1) memory:
+//
+//	st := rumor.NewBatchStats()
+//	err := eng.RunReduceCtx(ctx, sc, 100000, st.Add)
+func NewBatchStats() *BatchStats { return engine.NewBatchStats() }
 
 // ParseScenario decodes and validates a JSON scenario. Unknown fields are
 // rejected so typos in scenario files fail loudly.

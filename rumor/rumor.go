@@ -20,8 +20,12 @@
 //	}, 32)
 //	// ens.MeanSpreadTime() is Θ(log n) on the clique.
 //
-// The legacy one-shot helpers (SpreadAsync, SpreadSync, SpreadFlooding) are
-// kept as thin deprecated wrappers over the same simulators.
+// A single execution on a hand-built network runs a protocol directly:
+//
+//	res, err := rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: 0}}.Run(net, rng)
+//
+// SyncProtocol and FloodingProtocol do the same for the synchronous
+// processes.
 package rumor
 
 import (
@@ -50,9 +54,9 @@ type (
 	Result = sim.Result
 	// TracePoint is one entry of a Result trace.
 	TracePoint = sim.TracePoint
-	// AsyncOptions configures SpreadAsync.
+	// AsyncOptions configures AsyncProtocol and SpreadAsyncNaive.
 	AsyncOptions = sim.AsyncOptions
-	// SyncOptions configures SpreadSync and SpreadFlooding.
+	// SyncOptions configures SyncProtocol and FloodingProtocol.
 	SyncOptions = sim.SyncOptions
 	// Mode selects push-pull, push-only or pull-only transfer.
 	Mode = sim.Mode
@@ -184,41 +188,10 @@ func NewMobileAgents(agents, side int, rng *RNG) (Network, error) {
 	return dynamic.NewMobileAgents(agents, side, rng)
 }
 
-// Spreading processes — legacy one-shot helpers. New code should build a
-// Scenario and run it through an Engine (see engine.go), which shares one
-// execution path with the experiment suite and adds batching, aggregation
-// and serialization; these wrappers remain for single-run convenience and
-// backward compatibility.
-
-// SpreadAsync runs the asynchronous rumor-spreading algorithm of Definition 1
-// (exact event-driven simulation).
-//
-// Deprecated: use Engine.Run with a Scenario selecting ProtocolAsync, or
-// AsyncProtocol.Run for a direct single execution.
-func SpreadAsync(net Network, opts AsyncOptions, rng *RNG) (*Result, error) {
-	return sim.RunAsync(net, opts, rng)
-}
-
-// SpreadAsyncNaive runs the tick-by-tick reference simulator (slow; intended
-// for validation).
+// SpreadAsyncNaive runs the tick-by-tick reference simulator of the
+// asynchronous process (slow; intended for validating AsyncProtocol).
 func SpreadAsyncNaive(net Network, opts AsyncOptions, rng *RNG) (*Result, error) {
 	return sim.RunAsyncNaive(net, opts, rng)
-}
-
-// SpreadSync runs the synchronous round-based push-pull algorithm.
-//
-// Deprecated: use Engine.Run with a Scenario selecting ProtocolSync, or
-// SyncProtocol.Run for a direct single execution.
-func SpreadSync(net Network, opts SyncOptions, rng *RNG) (*Result, error) {
-	return sim.RunSync(net, opts, rng)
-}
-
-// SpreadFlooding runs synchronous flooding.
-//
-// Deprecated: use Engine.Run with a Scenario selecting ProtocolFlooding, or
-// FloodingProtocol.Run for a direct single execution.
-func SpreadFlooding(net Network, opts SyncOptions, rng *RNG) (*Result, error) {
-	return sim.RunFlooding(net, opts, rng)
 }
 
 // Graph parameters.

@@ -10,7 +10,7 @@ import (
 func TestQuickstartFlow(t *testing.T) {
 	rng := rumor.NewRNG(1)
 	net := rumor.Static(rumor.Clique(200))
-	res, err := rumor.SpreadAsync(net, rumor.AsyncOptions{Start: 0}, rng)
+	res, err := rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: 0}}.Run(net, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,16 +113,16 @@ func TestDynamicNetworkConstructors(t *testing.T) {
 func TestSpreadVariantsOnPublicAPI(t *testing.T) {
 	rng := rumor.NewRNG(4)
 	net := rumor.Static(rumor.Star(30, 0))
-	if _, err := rumor.SpreadSync(net, rumor.SyncOptions{Start: 1}, rng); err != nil {
+	if _, err := (rumor.SyncProtocol{Opts: rumor.SyncOptions{Start: 1}}).Run(net, rng); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rumor.SpreadFlooding(net, rumor.SyncOptions{Start: 1}, rng); err != nil {
+	if _, err := (rumor.FloodingProtocol{Opts: rumor.SyncOptions{Start: 1}}).Run(net, rng); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rumor.SpreadAsyncNaive(net, rumor.AsyncOptions{Start: 1}, rng); err != nil {
 		t.Fatal(err)
 	}
-	res, err := rumor.SpreadAsync(net, rumor.AsyncOptions{Start: 1, Mode: rumor.PushOnly}, rng)
+	res, err := rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: 1, Mode: rumor.PushOnly}}.Run(net, rng)
 	if err != nil || !res.Completed {
 		t.Fatalf("push-only on star failed: %v %+v", err, res)
 	}
@@ -160,7 +160,7 @@ func TestDichotomyThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syncRes, err := rumor.SpreadSync(star, rumor.SyncOptions{Start: star.StartVertex()}, rng)
+	syncRes, err := rumor.SyncProtocol{Opts: rumor.SyncOptions{Start: star.StartVertex()}}.Run(star, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestDichotomyThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asyncRes, err := rumor.SpreadAsync(star2, rumor.AsyncOptions{Start: star2.StartVertex()}, rng)
+	asyncRes, err := rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: star2.StartVertex()}}.Run(star2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestSpreadCurveAnalysisThroughPublicAPI(t *testing.T) {
 	net := rumor.Static(rumor.Clique(150))
 	var results []*rumor.Result
 	for i := 0; i < 6; i++ {
-		res, err := rumor.SpreadAsync(net, rumor.AsyncOptions{Start: 0, RecordTrace: true}, rng)
+		res, err := rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: 0, RecordTrace: true}}.Run(net, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ package dynamicrumor_test
 // "parallel" silently degrades to serial-with-overhead.
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -25,8 +26,8 @@ func speedupWorkload(t *testing.T, parallelism, reps int) time.Duration {
 		Network: rumor.NetworkSpec{Family: "dynamic-star", Params: rumor.Params{"n": 101}},
 	}
 	start := time.Now()
-	st, err := eng.RunStats(sc, reps)
-	if err != nil {
+	st := rumor.NewBatchStats()
+	if err := eng.RunReduceCtx(context.Background(), sc, reps, st.Add); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
