@@ -17,6 +17,7 @@ package diligence
 import (
 	"errors"
 	"math"
+	"math/bits"
 
 	"dynamicrumor/internal/graph"
 )
@@ -90,6 +91,13 @@ func OfCut(g *graph.Graph, member []bool) float64 {
 // Exact returns the diligence ρ(G) of Equation (4) by enumerating every
 // vertex subset S with 0 < vol(S) <= vol(G)/2. It returns ErrTooLarge for
 // graphs with more than 22 vertices. Disconnected graphs have diligence 0.
+//
+// Subsets are visited in Gray-code order, so each one differs from the last
+// by a single vertex v and |S|, vol(S) and the cut update in O(deg v). The
+// cut is kept as cutAt[k], the number of crossing edges whose smaller
+// endpoint degree is k, so OfCut's worst edge is the highest non-empty
+// level. Every subset's value is the same expression over the same integers
+// as OfCut, so the minimum is exact to the bit.
 func Exact(g *graph.Graph) (float64, error) {
 	n := g.N()
 	if n > exactLimit {
@@ -100,20 +108,39 @@ func Exact(g *graph.Graph) (float64, error) {
 	}
 	totalVol := g.Volume()
 	best := math.Inf(1)
-	member := make([]bool, n)
-	for mask := 1; mask < (1<<uint(n))-1; mask++ {
-		vol := 0
-		for v := 0; v < n; v++ {
-			member[v] = mask&(1<<uint(v)) != 0
-			if member[v] {
-				vol += g.Degree(v)
-			}
+	cutAt := make([]int, g.MaxDegree()+1)
+	var levels uint32 // bit k set iff cutAt[k] > 0; degrees are below 32
+	var in uint32     // S as a bitmap
+	size, vol := 0, 0
+	for i := 1; i < 1<<uint(n); i++ {
+		v := bits.TrailingZeros(uint(i))
+		in ^= 1 << uint(v)
+		side := in >> uint(v) & 1
+		dv := g.Degree(v)
+		if side == 1 {
+			size++
+			vol += dv
+		} else {
+			size--
+			vol -= dv
 		}
-		if vol == 0 || 2*vol > totalVol {
+		// Flipping v flips whether each of its edges crosses the cut. The
+		// updates are branch-free because a crossing is a coin flip to the
+		// branch predictor: cross is 1 iff {v, u} crosses after the flip,
+		// and c|-c is negative iff c != 0.
+		for _, u := range g.Neighbors(v) {
+			k := min(dv, g.Degree(u))
+			cross := int(in>>uint(u)&1 ^ side)
+			c := cutAt[k] + 2*cross - 1
+			cutAt[k] = c
+			levels = levels&^(1<<uint(k)) | uint32(uint64(c|-c)>>63)<<uint(k)
+		}
+		if 2*vol > totalVol || levels == 0 {
 			continue
 		}
-		rho := OfCut(g, member)
-		if rho > 0 && rho < best {
+		worst := bits.Len32(levels) - 1
+		rho := float64(vol) / float64(size) / float64(worst)
+		if rho < best {
 			best = rho
 		}
 	}

@@ -16,9 +16,10 @@ import (
 // informed argument is the set of informed vertices at the beginning of step
 // t (length N()); adaptive constructions may use it, oblivious ones ignore it.
 //
-// Simulators call GraphAt with consecutive integer values of t, starting at
-// 0, exactly once per step; stateful implementations (random evolving
-// networks) rely on this calling discipline.
+// Simulators, and bound.NetworkProfiler through the step function it wraps,
+// call GraphAt with consecutive integer values of t, starting at 0, exactly
+// once per step; stateful implementations (random evolving networks) rely on
+// this calling discipline.
 //
 // Aliasing contract: rebuilding implementations recycle graph storage (see
 // rebuilder below), so the graph returned for step t is guaranteed valid

@@ -37,9 +37,9 @@ func RunE1(cfg Config) (*Table, error) {
 
 	families := []e1Family{
 		{name: "clique", factory: func(n int, _ *xrand.RNG) (networkFactory, bound.ProfileFunc, error) {
-			net := dynamic.NewStatic(gen.Clique(n))
-			prof := bound.NewNetworkProfiler(func(int) *graph.Graph { return gen.Clique(n) })
-			return staticFactory(net, 0), prof.Func(), nil
+			g := gen.Clique(n)
+			prof := bound.NewNetworkProfiler(func(int) *graph.Graph { return g })
+			return staticFactory(dynamic.NewStatic(g), 0), prof.Func(), nil
 		}},
 		{name: "star", factory: func(n int, _ *xrand.RNG) (networkFactory, bound.ProfileFunc, error) {
 			net := dynamic.NewStatic(gen.Star(n, 0))
