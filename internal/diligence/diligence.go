@@ -92,12 +92,19 @@ func OfCut(g *graph.Graph, member []bool) float64 {
 // vertex subset S with 0 < vol(S) <= vol(G)/2. It returns ErrTooLarge for
 // graphs with more than 22 vertices. Disconnected graphs have diligence 0.
 //
-// Subsets are visited in Gray-code order, so each one differs from the last
-// by a single vertex v and |S|, vol(S) and the cut update in O(deg v). The
-// cut is kept as cutAt[k], the number of crossing edges whose smaller
+// Every cut {T, T̄} is visited once, as the side T that leaves out vertex
+// n-1, in Gray-code order, so each T differs from the last by a single
+// vertex v. T is scored when 2·vol(T) <= vol(G) and T̄, with its own size,
+// when 2·vol(T) >= vol(G): both at a tie, exactly the sides OfCut accepts.
+// The cut is kept as cutAt[k], the number of crossing edges whose smaller
 // endpoint degree is k, so OfCut's worst edge is the highest non-empty
-// level. Every subset's value is the same expression over the same integers
-// as OfCut, so the minimum is exact to the bit.
+// level. v's neighbours are grouped into one bitmap per level, so a flip
+// updates each level with one popcount.
+//
+// A scored side's value is fl(fl(vol/size)/k) at its worst level k, the
+// expression OfCut evaluates. Rounding is monotone, so the least value at a
+// level comes from the least vol/size there; that fraction is kept exactly
+// per level and divided once at the end, and the result is exact to the bit.
 func Exact(g *graph.Graph) (float64, error) {
 	n := g.N()
 	if n > exactLimit {
@@ -106,50 +113,70 @@ func Exact(g *graph.Graph) (float64, error) {
 	if !g.IsConnected() || g.M() == 0 {
 		return 0, nil
 	}
+	// levels[start[v]:start[v+1]] groups v's neighbours u by level
+	// k = min(d_v, d_u): mask holds a level's neighbours and count their
+	// number.
+	type level struct {
+		k, count int
+		mask     uint32
+	}
+	var start [exactLimit + 1]int
+	levels := make([]level, 0, 2*g.M()) // at most one entry per edge end
+	for v := 0; v < n; v++ {
+		var byLevel [exactLimit]uint32 // degrees are below n <= 22
+		dv := g.Degree(v)
+		for _, u := range g.Neighbors(v) {
+			byLevel[min(dv, g.Degree(u))] |= 1 << uint(u)
+		}
+		for k, mask := range byLevel {
+			if mask != 0 {
+				levels = append(levels, level{k, bits.OnesCount32(mask), mask})
+			}
+		}
+		start[v+1] = len(levels)
+	}
 	totalVol := g.Volume()
-	best := math.Inf(1)
-	cutAt := make([]int, g.MaxDegree()+1)
-	var levels uint32 // bit k set iff cutAt[k] > 0; degrees are below 32
-	var in uint32     // S as a bitmap
+	var cutAt [exactLimit]int
+	var nonEmpty uint32 // bit k set iff cutAt[k] > 0
+	// bestVol[k]/bestSize[k] is the least vol/size scored at worst level k;
+	// 1/0 stands for none yet and loses every comparison.
+	var bestVol, bestSize [exactLimit]int
+	for k := range bestVol {
+		bestVol[k] = 1
+	}
+	var in uint32 // T as a bitmap
 	size, vol := 0, 0
-	for i := 1; i < 1<<uint(n); i++ {
+	for i := 1; i < 1<<uint(n-1); i++ {
 		v := bits.TrailingZeros(uint(i))
 		in ^= 1 << uint(v)
-		side := in >> uint(v) & 1
-		dv := g.Degree(v)
-		if side == 1 {
-			size++
-			vol += dv
-		} else {
-			size--
-			vol -= dv
+		sign := 2*int(in>>uint(v)&1) - 1 // +1 if v joined T, -1 if it left
+		size += sign
+		vol += sign * g.Degree(v)
+		// After the flip, v's edge to u crosses iff u is on the other side.
+		other := ^in
+		if sign < 0 {
+			other = in
 		}
-		// Flipping v flips whether each of its edges crosses the cut. The
-		// updates are branch-free because a crossing is a coin flip to the
-		// branch predictor: cross is 1 iff {v, u} crosses after the flip,
-		// and c|-c is negative iff c != 0.
-		for _, u := range g.Neighbors(v) {
-			k := min(dv, g.Degree(u))
-			cross := int(in>>uint(u)&1 ^ side)
-			c := cutAt[k] + 2*cross - 1
-			cutAt[k] = c
-			levels = levels&^(1<<uint(k)) | uint32(uint64(c|-c)>>63)<<uint(k)
+		for _, l := range levels[start[v]:start[v+1]] {
+			c := cutAt[l.k] + 2*bits.OnesCount32(l.mask&other) - l.count
+			cutAt[l.k] = c
+			nonEmpty = nonEmpty&^(1<<uint(l.k)) | uint32(uint64(c|-c)>>63)<<uint(l.k)
 		}
-		if 2*vol > totalVol || levels == 0 {
-			continue
+		// G is connected, so every cut has a crossing edge.
+		k := bits.Len32(nonEmpty) - 1
+		if 2*vol <= totalVol && vol*bestSize[k] < bestVol[k]*size {
+			bestVol[k], bestSize[k] = vol, size
 		}
-		worst := bits.Len32(levels) - 1
-		rho := float64(vol) / float64(size) / float64(worst)
-		if rho < best {
-			best = rho
+		if volC, sizeC := totalVol-vol, n-size; 2*vol >= totalVol && volC*bestSize[k] < bestVol[k]*sizeC {
+			bestVol[k], bestSize[k] = volC, sizeC
 		}
 	}
-	if math.IsInf(best, 1) {
-		// No subset had vol(S) <= vol/2 other than trivial ones; this happens
-		// only for degenerate graphs (e.g. a single edge where each side has
-		// exactly half the volume is still enumerated, so this is a safety
-		// net). Fall back to the star-like bound ρ = 1.
-		return 1, nil
+	// G has an edge, so n >= 2 and the walk scored at least one side.
+	best := math.Inf(1)
+	for k, s := range bestSize {
+		if s > 0 {
+			best = min(best, float64(bestVol[k])/float64(s)/float64(k))
+		}
 	}
 	return best, nil
 }

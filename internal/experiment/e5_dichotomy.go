@@ -42,14 +42,14 @@ func RunE5(cfg Config) (*Table, error) {
 		// G1: clique with a pendant, then two bridged cliques. Theorem 1.7(i)
 		// is a with-high-probability statement driven by the constant-
 		// probability event that the pendant edge stays silent during [0,1),
-		// so the relevant statistic is a high quantile, not the mean.
-		g1Factory := func(r *xrand.RNG) (dynamic.Network, int, error) {
-			net, err := dynamic.NewDichotomyG1(n)
-			if err != nil {
-				return nil, 0, err
-			}
-			return net, net.StartVertex(), nil
+		// so the relevant statistic is a high quantile, not the mean. G1
+		// draws nothing and GraphAt only selects between two prebuilt
+		// graphs, so one instance serves every repetition.
+		g1, err := dynamic.NewDichotomyG1(n)
+		if err != nil {
+			return err
 		}
+		g1Factory := staticFactory(g1, g1.StartVertex())
 		g1Async, err := measureAsync(cfg, g1Factory, g1Reps, rng.Split(1), 0)
 		if err != nil {
 			return fmt.Errorf("G1 async n=%d: %w", n, err)

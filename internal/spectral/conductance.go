@@ -46,9 +46,10 @@ func CutConductance(g *graph.Graph, member []bool) (float64, error) {
 // A disconnected graph (with edges) has conductance 0.
 //
 // Subsets are visited in Gray-code order, so each one differs from the last
-// by a single vertex and vol(S) and |E(S, S̄)| update in O(deg v). Every
-// subset's value is the same expression over the same integers as
-// CutConductance, so the minimum is exact to the bit.
+// by a single vertex v. Neighbourhoods are kept as bitmaps, so |E(S, S̄)|
+// changes by deg v - 2·|N(v) ∩ S| (one popcount) when v joins S and by the
+// negation when it leaves. Every subset's value is the same expression over
+// the same integers as CutConductance, so the minimum is exact to the bit.
 func ExactConductance(g *graph.Graph) (float64, error) {
 	n := g.N()
 	if n > exactLimit {
@@ -57,7 +58,14 @@ func ExactConductance(g *graph.Graph) (float64, error) {
 	if g.M() == 0 {
 		return 0, ErrNoEdges
 	}
+	var adj [exactLimit]uint32 // adj[v] is N(v) as a bitmap
+	for _, e := range g.Edges() {
+		adj[e.U] |= 1 << uint(e.V)
+		adj[e.V] |= 1 << uint(e.U)
+	}
 	totalVol := g.Volume()
+	// An endpoint other than n-1 of any edge is a candidate on its own, so
+	// best is finite at the end.
 	best := math.Inf(1)
 	var in uint32 // S as a bitmap
 	volS, cut := 0, 0
@@ -66,18 +74,10 @@ func ExactConductance(g *graph.Graph) (float64, error) {
 	for i := 1; i < 1<<uint(n-1); i++ {
 		v := bits.TrailingZeros(uint(i))
 		in ^= 1 << uint(v)
-		side := in >> uint(v) & 1
-		if side == 1 {
-			volS += g.Degree(v)
-		} else {
-			volS -= g.Degree(v)
-		}
-		// Flipping v flips whether each of its edges crosses the cut: +1
-		// for an edge that crosses after the flip, -1 for one that no longer
-		// does.
-		for _, u := range g.Neighbors(v) {
-			cut += 2*int(in>>uint(u)&1^side) - 1
-		}
+		sign := 2*int(in>>uint(v)&1) - 1 // +1 if v joined S, -1 if it left
+		dv := g.Degree(v)
+		volS += sign * dv
+		cut += sign * (dv - 2*bits.OnesCount32(adj[v]&in))
 		volC := totalVol - volS
 		if volS == 0 || volC == 0 {
 			continue
@@ -86,10 +86,6 @@ func ExactConductance(g *graph.Graph) (float64, error) {
 		if phi < best {
 			best = phi
 		}
-	}
-	if math.IsInf(best, 1) {
-		// Every candidate cut had a zero-volume side (isolated vertices only).
-		return 0, nil
 	}
 	return best, nil
 }
