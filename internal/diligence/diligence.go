@@ -95,7 +95,7 @@ func OfCut(g *graph.Graph, member []bool) float64 {
 // Every cut {T, T̄} is visited once, as the side T that leaves out vertex
 // n-1, in Gray-code order, so each T differs from the last by a single
 // vertex v. T is scored when 2·vol(T) <= vol(G) and T̄, with its own size,
-// when 2·vol(T) >= vol(G): both at a tie, exactly the sides OfCut accepts.
+// when 2·vol(T) >= vol(G), both at a tie: every side with vol <= vol(G)/2.
 // The cut is kept as cutAt[k], the number of crossing edges whose smaller
 // endpoint degree is k, so OfCut's worst edge is the highest non-empty
 // level. v's neighbours are grouped into one bitmap per level, so a flip
@@ -157,6 +157,8 @@ func Exact(g *graph.Graph) (float64, error) {
 		if sign < 0 {
 			other = in
 		}
+		// A level gains its crossing edges and loses the rest; c|-c is
+		// negative iff c != 0.
 		for _, l := range levels[start[v]:start[v+1]] {
 			c := cutAt[l.k] + 2*bits.OnesCount32(l.mask&other) - l.count
 			cutAt[l.k] = c

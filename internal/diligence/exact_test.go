@@ -134,6 +134,17 @@ func TestExactAllocs(t *testing.T) {
 	}
 }
 
+// matchOracle fails t unless Exact(g) returns the oracle's error and
+// value, to the bit.
+func matchOracle(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	got, err := Exact(g)
+	want, wantErr := exactOracle(g)
+	if !errors.Is(err, wantErr) || math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("n=%d edges=%v: ρ = (%v, %v), oracle (%v, %v)", g.N(), g.Edges(), got, err, want, wantErr)
+	}
+}
+
 func TestExactMatchesOracle(t *testing.T) {
 	hs := e8Instances(t)
 	if testing.Short() {
@@ -141,16 +152,12 @@ func TestExactMatchesOracle(t *testing.T) {
 	}
 	gs := append(oracleFamily(31), hs...)
 	for _, g := range gs {
-		got, err := Exact(g)
-		want, wantErr := exactOracle(g)
-		if !errors.Is(err, wantErr) || math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("n=%d edges=%v: ρ = (%v, %v), oracle (%v, %v)", g.N(), g.Edges(), got, err, want, wantErr)
-		}
+		matchOracle(t, g)
 	}
 }
 
-// BenchmarkExactN22 times one exact pass over E8's n = 22 instance, the largest
-// graph the experiments measure exactly.
+// BenchmarkExactN22 times one exact pass over E8's n = 22 instance,
+// the largest graph the experiments measure exactly.
 func BenchmarkExactN22(b *testing.B) {
 	g := e8Instances(b)[2]
 	b.ReportAllocs()
@@ -200,6 +207,9 @@ func encodeGraph(g *graph.Graph) []byte {
 	return data
 }
 
+// FuzzExactMatchesOracle compares Exact with the oracle on decoded graphs
+// of up to 12 vertices, seeded with the oracle family's graphs that fit,
+// the balanced-cut ones among them.
 func FuzzExactMatchesOracle(f *testing.F) {
 	f.Add([]byte{})
 	for _, g := range oracleFamily(31) {
@@ -208,11 +218,6 @@ func FuzzExactMatchesOracle(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g := decodeGraph(data)
-		got, err := Exact(g)
-		want, wantErr := exactOracle(g)
-		if !errors.Is(err, wantErr) || math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("n=%d edges=%v: ρ = (%v, %v), oracle (%v, %v)", g.N(), g.Edges(), got, err, want, wantErr)
-		}
+		matchOracle(t, decodeGraph(data))
 	})
 }

@@ -127,6 +127,17 @@ func TestExactConductanceAllocs(t *testing.T) {
 	}
 }
 
+// matchOracle fails t unless ExactConductance(g) returns the oracle's error and
+// value, to the bit.
+func matchOracle(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	got, err := ExactConductance(g)
+	want, wantErr := exactConductanceOracle(g)
+	if !errors.Is(err, wantErr) || math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("n=%d edges=%v: Φ = (%v, %v), oracle (%v, %v)", g.N(), g.Edges(), got, err, want, wantErr)
+	}
+}
+
 func TestExactConductanceMatchesOracle(t *testing.T) {
 	hs := e8Instances(t)
 	if testing.Short() {
@@ -134,16 +145,12 @@ func TestExactConductanceMatchesOracle(t *testing.T) {
 	}
 	gs := append(oracleFamily(31), hs...)
 	for _, g := range gs {
-		got, err := ExactConductance(g)
-		want, wantErr := exactConductanceOracle(g)
-		if !errors.Is(err, wantErr) || math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("n=%d edges=%v: Φ = (%v, %v), oracle (%v, %v)", g.N(), g.Edges(), got, err, want, wantErr)
-		}
+		matchOracle(t, g)
 	}
 }
 
-// BenchmarkExactConductanceN22 times one exact pass over E8's n = 22 instance, the largest
-// graph the experiments measure exactly.
+// BenchmarkExactConductanceN22 times one exact pass over E8's n = 22 instance,
+// the largest graph the experiments measure exactly.
 func BenchmarkExactConductanceN22(b *testing.B) {
 	g := e8Instances(b)[2]
 	b.ReportAllocs()
@@ -193,6 +200,9 @@ func encodeGraph(g *graph.Graph) []byte {
 	return data
 }
 
+// FuzzExactMatchesOracle compares ExactConductance with the oracle on decoded graphs
+// of up to 12 vertices, seeded with the oracle family's graphs that fit,
+// the balanced-cut ones among them.
 func FuzzExactMatchesOracle(f *testing.F) {
 	f.Add([]byte{})
 	for _, g := range oracleFamily(31) {
@@ -201,11 +211,6 @@ func FuzzExactMatchesOracle(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g := decodeGraph(data)
-		got, err := ExactConductance(g)
-		want, wantErr := exactConductanceOracle(g)
-		if !errors.Is(err, wantErr) || math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("n=%d edges=%v: Φ = (%v, %v), oracle (%v, %v)", g.N(), g.Edges(), got, err, want, wantErr)
-		}
+		matchOracle(t, decodeGraph(data))
 	})
 }
