@@ -15,7 +15,7 @@ var update = flag.Bool("update", false, "rewrite the golden E-tables under testd
 // that alters any reproduced number fails here; a deliberate one regenerates
 // the files with
 //
-//	go test ./internal/experiment -run TestQuickTablesMatchGolden -update
+//	go test ./internal/experiment -run TablesMatchGolden -update
 //
 // and shows the table diff in review.
 func TestQuickTablesMatchGolden(t *testing.T) {
@@ -25,29 +25,46 @@ func TestQuickTablesMatchGolden(t *testing.T) {
 	for _, seed := range []uint64{7, 20200424} {
 		cfg := QuickConfig()
 		cfg.Seed = seed
-		for _, id := range IDs() {
-			tbl, err := Run(id, cfg)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", id, seed, err)
+		matchGolden(t, cfg, fmt.Sprintf("quick-seed%d", seed))
+	}
+}
+
+// TestFullTablesMatchGolden pins every full-mode table at the default seed
+// 20200424, the run cmd/experiments makes without flags, to the CSV under
+// testdata/full-seed20200424.
+func TestFullTablesMatchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment")
+	}
+	matchGolden(t, DefaultConfig(), fmt.Sprintf("full-seed%d", DefaultConfig().Seed))
+}
+
+// matchGolden runs every experiment under cfg and compares each table's CSV
+// with testdata/<dir>/<id>.csv, or rewrites the files under -update.
+func matchGolden(t *testing.T, cfg Config, dir string) {
+	t.Helper()
+	for _, id := range IDs() {
+		tbl, err := Run(id, cfg)
+		if err != nil {
+			t.Fatalf("%s %s: %v", dir, id, err)
+		}
+		path := filepath.Join("testdata", dir, id+".csv")
+		got := tbl.CSV()
+		if *update {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", fmt.Sprintf("quick-seed%d", seed), id+".csv")
-			got := tbl.CSV()
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				continue
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create it)", err)
-			}
-			if got != string(want) {
-				t.Errorf("%s seed %d: table differs from %s\n--- got ---\n%s--- want ---\n%s", id, seed, path, got, want)
-			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create it)", err)
+		}
+		if got != string(want) {
+			t.Errorf("%s %s: table differs from %s\n--- got ---\n%s--- want ---\n%s", dir, id, path, got, want)
 		}
 	}
 }
