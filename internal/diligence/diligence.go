@@ -17,15 +17,17 @@ package diligence
 import (
 	"errors"
 	"math"
-	"math/bits"
 
 	"dynamicrumor/internal/graph"
 )
 
-// ErrTooLarge is returned by Exact for graphs beyond the enumeration limit.
+// ErrTooLarge is returned by Exact for graphs beyond exactLimit vertices.
 var ErrTooLarge = errors.New("diligence: graph too large for exact diligence")
 
-// exactLimit is the largest vertex count for which Exact enumerates all cuts.
+// exactLimit is the largest vertex count for which Exact computes ρ(G).
+// Exact is polynomial, so the limit no longer reflects its cost: it is kept
+// so that the same rows of the reproduced tables stay exact, and raising it
+// is a deliberate change to those tables.
 const exactLimit = 22
 
 // Absolute returns the absolute diligence ρ̄(G) = min over edges of
@@ -88,23 +90,26 @@ func OfCut(g *graph.Graph, member []bool) float64 {
 	return avg / float64(worst)
 }
 
-// Exact returns the diligence ρ(G) of Equation (4) by enumerating every
-// vertex subset S with 0 < vol(S) <= vol(G)/2. It returns ErrTooLarge for
+// Exact returns the diligence ρ(G) of Equation (4), the least ρ(S) over
+// vertex sets S with 0 < vol(S) <= vol(G)/2. It returns ErrTooLarge for
 // graphs with more than 22 vertices. Disconnected graphs have diligence 0.
 //
-// Every cut {T, T̄} is visited once, as the side T that leaves out vertex
-// n-1, in Gray-code order, so each T differs from the last by a single
-// vertex v. T is scored when 2·vol(T) <= vol(G) and T̄, with its own size,
-// when 2·vol(T) >= vol(G), both at a tie: every side with vol <= vol(G)/2.
-// The cut is kept as cutAt[k], the number of crossing edges whose smaller
-// endpoint degree is k, so OfCut's worst edge is the highest non-empty
-// level. v's neighbours are grouped into one bitmap per level, so a flip
-// updates each level with one popcount.
+// It runs in O(m·n) time, without enumerating cuts. ρ(S) = d̄(S)/k(S), where
+// k(S) is the largest min(d_u, d_v) over S's cut edges, so every cut edge
+// (u ∈ S, v ∉ S) gives d̄(S)/min(d_u, d_v) >= ρ(S), with equality on the edge
+// that attains k(S). Hence ρ(G) is the least d̄(S)/min(d_u, d_v) over
+// oriented edges (u, v) and sets S that hold u, leave out v and fit the
+// volume cap. For a fixed (u, v) and size, u plus the lowest-degree vertices
+// other than u and v has the least volume, so it is the best set of that
+// size and the last to exceed the cap. Adding vertices in order of degree
+// lowers the average until the next degree reaches it, and the volume only
+// grows, so one pass over the degree-sorted vertices finds the best S.
 //
-// A scored side's value is fl(fl(vol/size)/k) at its worst level k, the
-// expression OfCut evaluates. Rounding is monotone, so the least value at a
-// level comes from the least vol/size there; that fraction is kept exactly
-// per level and divided once at the end, and the result is exact to the bit.
+// OfCut evaluates ρ(S) as fl(fl(vol/size)/k(S)). Rounding is monotone, so a
+// candidate scored at a level k = min(d_u, d_v) below k(S) is never less
+// than ρ(S), and the least value at a level comes from the least vol/size
+// there. That fraction is kept exactly per level and divided once at the
+// end, and the result equals the per-subset minimum to the bit.
 func Exact(g *graph.Graph) (float64, error) {
 	n := g.N()
 	if n > exactLimit {
@@ -113,67 +118,41 @@ func Exact(g *graph.Graph) (float64, error) {
 	if !g.IsConnected() || g.M() == 0 {
 		return 0, nil
 	}
-	// levels[start[v]:start[v+1]] groups v's neighbours u by level
-	// k = min(d_v, d_u): mask holds a level's neighbours and count their
-	// number.
-	type level struct {
-		k, count int
-		mask     uint32
-	}
-	var start [exactLimit + 1]int
-	levels := make([]level, 0, 2*g.M()) // at most one entry per edge end
+	var byDegree [exactLimit]int // the vertices by nondecreasing degree
 	for v := 0; v < n; v++ {
-		var byLevel [exactLimit]uint32 // degrees are below n <= 22
-		dv := g.Degree(v)
-		for _, u := range g.Neighbors(v) {
-			byLevel[min(dv, g.Degree(u))] |= 1 << uint(u)
+		i := v
+		for ; i > 0 && g.Degree(byDegree[i-1]) > g.Degree(v); i-- {
+			byDegree[i] = byDegree[i-1]
 		}
-		for k, mask := range byLevel {
-			if mask != 0 {
-				levels = append(levels, level{k, bits.OnesCount32(mask), mask})
-			}
-		}
-		start[v+1] = len(levels)
+		byDegree[i] = v
 	}
 	totalVol := g.Volume()
-	var cutAt [exactLimit]int
-	var nonEmpty uint32 // bit k set iff cutAt[k] > 0
-	// bestVol[k]/bestSize[k] is the least vol/size scored at worst level k;
-	// 1/0 stands for none yet and loses every comparison.
+	// bestVol[k]/bestSize[k] is the least vol/size scored at level k; 1/0
+	// stands for none yet and loses every comparison.
 	var bestVol, bestSize [exactLimit]int
 	for k := range bestVol {
 		bestVol[k] = 1
 	}
-	var in uint32 // T as a bitmap
-	size, vol := 0, 0
-	for i := 1; i < 1<<uint(n-1); i++ {
-		v := bits.TrailingZeros(uint(i))
-		in ^= 1 << uint(v)
-		sign := 2*int(in>>uint(v)&1) - 1 // +1 if v joined T, -1 if it left
-		size += sign
-		vol += sign * g.Degree(v)
-		// After the flip, v's edge to u crosses iff u is on the other side.
-		other := ^in
-		if sign < 0 {
-			other = in
-		}
-		// A level gains its crossing edges and loses the rest; c|-c is
-		// negative iff c != 0.
-		for _, l := range levels[start[v]:start[v+1]] {
-			c := cutAt[l.k] + 2*bits.OnesCount32(l.mask&other) - l.count
-			cutAt[l.k] = c
-			nonEmpty = nonEmpty&^(1<<uint(l.k)) | uint32(uint64(c|-c)>>63)<<uint(l.k)
-		}
-		// G is connected, so every cut has a crossing edge.
-		k := bits.Len32(nonEmpty) - 1
-		if 2*vol <= totalVol && vol*bestSize[k] < bestVol[k]*size {
-			bestVol[k], bestSize[k] = vol, size
-		}
-		if volC, sizeC := totalVol-vol, n-size; 2*vol >= totalVol && volC*bestSize[k] < bestVol[k]*sizeC {
-			bestVol[k], bestSize[k] = volC, sizeC
+	for u := 0; u < n; u++ {
+		du := g.Degree(u)
+		for _, v := range g.Neighbors(u) {
+			// {u} fits the cap, because d_u <= m.
+			vol, size := du, 1
+			for _, w := range byDegree[:n] {
+				if w == u || w == v { // S leaves out v, so (u, v) is a cut edge
+					continue
+				}
+				dw := g.Degree(w)
+				if dw*size >= vol || 2*(vol+dw) > totalVol {
+					break
+				}
+				vol, size = vol+dw, size+1
+			}
+			if k := min(du, g.Degree(v)); vol*bestSize[k] < bestVol[k]*size {
+				bestVol[k], bestSize[k] = vol, size
+			}
 		}
 	}
-	// G has an edge, so n >= 2 and the walk scored at least one side.
 	best := math.Inf(1)
 	for k, s := range bestSize {
 		if s > 0 {

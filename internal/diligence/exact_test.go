@@ -46,9 +46,9 @@ func exactOracle(g *graph.Graph) (float64, error) {
 }
 
 // oracleFamily returns a seeded family of graphs on 2…14 vertices:
-// disconnected graphs, graphs with isolated vertices (0, which the Gray code
-// flips most often, and n-1), stars, paths, a clique plus pendant, G(n, p)
-// and graphs whose minimising cut is volume-balanced (pendantTriangle).
+// disconnected graphs, graphs with isolated vertices (0 and n-1), stars,
+// paths, a clique plus pendant, G(n, p) and graphs whose minimising cut is
+// volume-balanced (pendantTriangle).
 func oracleFamily(seed uint64) []*graph.Graph {
 	rng := xrand.New(seed)
 	var gs []*graph.Graph
@@ -81,9 +81,8 @@ func oracleFamily(seed uint64) []*graph.Graph {
 // pendantTriangle is a triangle h, c, w with one pendant leaf on c and
 // n-4 >= 2 on h. Its only cut attaining ρ(G) is volume-balanced with sides
 // of unequal size: c with all n-3 leaves, whose average degree is smaller
-// and which gives ρ(G), against h and w. wLast labels w as n-1, which the
-// enumeration never moves, so n-1 lies on the smaller side; otherwise n-1
-// is a leaf of h, on the larger side.
+// and which gives ρ(G), against h and w. wLast labels w as n-1; otherwise
+// n-1 is a leaf of h.
 func pendantTriangle(n int, wLast bool) *graph.Graph {
 	h, c, w, leaf := 0, 1, 2, 3
 	if wLast {
@@ -125,12 +124,12 @@ func e8Instances(t testing.TB) []*graph.Graph {
 	return gs
 }
 
-// TestExactAllocs pins Exact's allocations on the n = 22 instance: two for
-// the connectivity check and one for the level table, none per subset.
+// TestExactAllocs pins Exact's allocations on the n = 22 instance: the two
+// of the connectivity check, none per edge.
 func TestExactAllocs(t *testing.T) {
 	g := e8Instances(t)[2]
-	if got := testing.AllocsPerRun(2, func() { _, _ = Exact(g) }); got != 3 {
-		t.Errorf("Exact allocates %v times per call, want 3", got)
+	if got := testing.AllocsPerRun(2, func() { _, _ = Exact(g) }); got != 2 {
+		t.Errorf("Exact allocates %v times per call, want 2", got)
 	}
 }
 
@@ -153,6 +152,20 @@ func TestExactMatchesOracle(t *testing.T) {
 	gs := append(oracleFamily(31), hs...)
 	for _, g := range gs {
 		matchOracle(t, g)
+	}
+}
+
+// TestExactMatchesOracleExhaustive compares Exact with the oracle on every
+// labelled graph on 1…6 vertices, disconnected ones included, and stops at
+// the first mismatch.
+func TestExactMatchesOracleExhaustive(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		for mask := 0; mask < 1<<uint(n*(n-1)/2); mask++ {
+			matchOracle(t, decodeGraph([]byte{byte(n - 1), byte(mask), byte(mask >> 8)}))
+			if t.Failed() {
+				return
+			}
+		}
 	}
 }
 

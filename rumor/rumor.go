@@ -199,8 +199,9 @@ func SpreadAsyncNaive(net Network, opts AsyncOptions, rng *RNG) (*Result, error)
 // AbsoluteDiligence returns ρ̄(G) = min over edges of max(1/du, 1/dv).
 func AbsoluteDiligence(g *Graph) float64 { return diligence.Absolute(g) }
 
-// Diligence returns the exact diligence ρ(G) of Equation (4); it errors for
-// graphs with more than 22 vertices (the computation enumerates all cuts).
+// Diligence returns the exact diligence ρ(G) of Equation (4) in O(m·n)
+// time; it errors for graphs with more than 22 vertices, the limit it shares
+// with Conductance.
 func Diligence(g *Graph) (float64, error) { return diligence.Exact(g) }
 
 // CutDiligence returns ρ(S) for the vertex set marked true in member.
