@@ -38,8 +38,7 @@ func RunE1(cfg Config) (*Table, error) {
 	families := []e1Family{
 		{name: "clique", factory: func(n int, _ *xrand.RNG) (networkFactory, bound.ProfileFunc, error) {
 			g := gen.Clique(n)
-			prof := bound.NewNetworkProfiler(func(int) *graph.Graph { return g })
-			return staticFactory(dynamic.NewStatic(g), 0), prof.Func(), nil
+			return staticFactory(dynamic.NewStatic(g), 0), bound.ConstantProfile(bound.MeasureProfile(g)), nil
 		}},
 		{name: "star", factory: func(n int, _ *xrand.RNG) (networkFactory, bound.ProfileFunc, error) {
 			net := dynamic.NewStatic(gen.Star(n, 0))
@@ -59,8 +58,7 @@ func RunE1(cfg Config) (*Table, error) {
 		}},
 		{name: "expander", factory: func(n int, rng *xrand.RNG) (networkFactory, bound.ProfileFunc, error) {
 			g := gen.Expander(n, 6, rng)
-			prof := bound.NewNetworkProfiler(func(int) *graph.Graph { return g })
-			return staticFactory(dynamic.NewStatic(g), 0), prof.Func(), nil
+			return staticFactory(dynamic.NewStatic(g), 0), bound.ConstantProfile(bound.MeasureProfile(g)), nil
 		}},
 		{name: "alt-expander-cycle", factory: func(n int, rng *xrand.RNG) (networkFactory, bound.ProfileFunc, error) {
 			exp := gen.Expander(n, 6, rng)
