@@ -17,6 +17,12 @@ BENCH_ANCHORS := BenchmarkMonteCarlo|BenchmarkGNRhoConstructionN2048|BenchmarkAs
 # the committed evidence for the sweep path's amortization.
 SERVICE_BENCH_ANCHORS := BenchmarkSweepNative24Cells|BenchmarkSweepSeparate24Cells
 
+# The reproduction's timing benchmarks: one per experiment E1–E12 (quick
+# mode at seed 20200424, in the root package) and the exact Φ and ρ kernels
+# on E8's n = 22 instance.
+EXPERIMENT_BENCHES := ^BenchmarkE[0-9]
+KERNEL_BENCHES := ^BenchmarkExact(Conductance)?N22
+
 all: check
 
 build:
@@ -61,10 +67,12 @@ bench-json:
 	rm -f bench.out.tmp; \
 	echo "wrote $$out"
 
-# bench-smoke is the CI guard: one iteration of every anchor, so the
-# benchmarks cannot rot even when nobody is looking at their numbers.
+# bench-smoke is the CI guard: one iteration of every anchor and of the
+# reproduction's timing benchmarks, so the benchmarks cannot rot even when
+# nobody is looking at their numbers.
 bench-smoke:
-	$(GO) test -run NONE -bench '$(BENCH_ANCHORS)' -benchtime 1x -benchmem .
+	$(GO) test -run NONE -bench '$(BENCH_ANCHORS)|$(EXPERIMENT_BENCHES)' -benchtime 1x -benchmem .
+	$(GO) test -run NONE -bench '$(KERNEL_BENCHES)' -benchtime 1x -benchmem ./internal/diligence ./internal/spectral
 	$(GO) test -run NONE -bench '$(SERVICE_BENCH_ANCHORS)' -benchtime 1x -benchmem ./internal/service
 
 # bench-service runs the service load harness: submission-latency
