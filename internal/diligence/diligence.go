@@ -17,6 +17,7 @@ package diligence
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"dynamicrumor/internal/graph"
 )
@@ -119,13 +120,10 @@ func Exact(g *graph.Graph) (float64, error) {
 		return 0, nil
 	}
 	var byDegree [exactLimit]int // the vertices by nondecreasing degree
-	for v := 0; v < n; v++ {
-		i := v
-		for ; i > 0 && g.Degree(byDegree[i-1]) > g.Degree(v); i-- {
-			byDegree[i] = byDegree[i-1]
-		}
-		byDegree[i] = v
+	for v := range n {
+		byDegree[v] = v
 	}
+	slices.SortFunc(byDegree[:n], func(a, b int) int { return g.Degree(a) - g.Degree(b) })
 	totalVol := g.Volume()
 	// bestVol[k]/bestSize[k] is the least vol/size scored at level k; 1/0
 	// stands for none yet and loses every comparison.
@@ -133,7 +131,7 @@ func Exact(g *graph.Graph) (float64, error) {
 	for k := range bestVol {
 		bestVol[k] = 1
 	}
-	for u := 0; u < n; u++ {
+	for u := range n {
 		du := g.Degree(u)
 		for _, v := range g.Neighbors(u) {
 			// {u} fits the cap, because d_u <= m.
