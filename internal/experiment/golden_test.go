@@ -36,7 +36,8 @@ func TestFullTablesMatchGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment")
 	}
-	matchGolden(t, DefaultConfig(), fmt.Sprintf("full-seed%d", DefaultConfig().Seed))
+	cfg := DefaultConfig()
+	matchGolden(t, cfg, fmt.Sprintf("full-seed%d", cfg.Seed))
 }
 
 // matchGolden runs every experiment under cfg and compares each table's CSV
