@@ -9,11 +9,11 @@ import (
 )
 
 // MeasureProfile computes a StepProfile for a concrete graph. For graphs with
-// at most 22 vertices Φ and ρ are exact: Φ by enumeration of every cut, ρ by
-// diligence.Exact's per-edge reduction. Above 22 vertices Φ is the spectral
-// sweep-cut conductance, which is an upper bound on Φ, and ρ is the stand-in
-// ρ̄·d̄ (capped at 1), so a Theorem 1.1 bound built from such profiles is an
-// estimate.
+// at most 22 vertices Φ and ρ are exact: Φ by spectral.ExactConductance's
+// branch-and-bound search over cuts, ρ by diligence.Exact's per-edge
+// reduction. Above 22 vertices Φ is the spectral sweep-cut conductance,
+// which is an upper bound on Φ, and ρ is the stand-in ρ̄·d̄ (capped at 1),
+// so a Theorem 1.1 bound built from such profiles is an estimate.
 func MeasureProfile(g *graph.Graph) StepProfile {
 	p := StepProfile{
 		AbsRho:    diligence.Absolute(g),

@@ -1,6 +1,7 @@
-// Package spectral computes graph conductance: exactly by enumeration for
-// small graphs, and approximately via the spectral gap of the normalized
-// adjacency operator (Cheeger's inequality) with a sweep cut for large graphs.
+// Package spectral computes graph conductance: exactly by a branch-and-bound
+// search over cuts for graphs on at most 22 vertices, and approximately via
+// the spectral gap of the normalized adjacency operator (Cheeger's
+// inequality) with a sweep cut for larger graphs.
 package spectral
 
 import (
@@ -12,15 +13,20 @@ import (
 	"dynamicrumor/internal/graph"
 )
 
-// ErrTooLarge is returned by ExactConductance for graphs beyond the
-// enumeration limit.
+// ErrTooLarge is returned by ExactConductance for graphs beyond exactLimit
+// vertices.
 var ErrTooLarge = errors.New("spectral: graph too large for exact conductance")
 
 // ErrNoEdges is returned when conductance is undefined (no edges).
 var ErrNoEdges = errors.New("spectral: conductance undefined for a graph with no edges")
 
-// exactLimit is the largest vertex count for which ExactConductance will
-// enumerate all cuts (2^n subsets).
+// exactLimit is the largest vertex count for which ExactConductance computes
+// Φ(G); its vertex sets are uint32 bitmaps, so it can be at most 32. The
+// search is exponential in the worst case (over a million partial
+// assignments on dense graphs such as the complement of C_22) but far
+// cheaper on the graphs the experiments measure. The limit is kept so that
+// the same rows of the reproduced tables stay exact, and raising it is a
+// deliberate change to those tables.
 const exactLimit = 22
 
 // CutConductance returns |E(S, S̄)| / min(vol(S), vol(S̄)) for the vertex set
@@ -40,54 +46,135 @@ func CutConductance(g *graph.Graph, member []bool) (float64, error) {
 	return float64(cut) / float64(minVol), nil
 }
 
-// ExactConductance returns the conductance Φ(G) of Equation (2) by
-// enumerating every nonempty proper vertex subset. It returns ErrTooLarge for
-// graphs with more than 22 vertices and ErrNoEdges if the graph has no edges.
-// A disconnected graph (with edges) has conductance 0.
+// ExactConductance returns the conductance Φ(G) of Equation (2), the least
+// CutConductance over all cuts. It returns ErrTooLarge for graphs with more
+// than 22 vertices and ErrNoEdges if the graph has no edges. A disconnected
+// graph (with edges) has conductance 0.
 //
-// Subsets are visited in Gray-code order, so each one differs from the last
-// by a single vertex v. Neighbourhoods are kept as bitmaps, so |E(S, S̄)|
-// changes by deg v - 2·|N(v) ∩ S| (one popcount) when v joins S and by the
-// negation when it leaves. Every subset's value is the same expression over
-// the same integers as CutConductance, so the minimum is exact to the bit.
+// It searches the cuts by depth-first branch and bound. S and S̄ have the
+// same conductance, so a highest-degree vertex is fixed outside S, and the
+// others are assigned a side each in breadth-first order from it, each
+// trying first the side that adds fewer cut edges. Assigning a vertex only
+// adds cut edges, and the smaller side ends with at most the volume it has
+// now plus the unassigned volume, so a partial assignment whose cut over
+// that volume is no less than the best ratio so far cannot lower it and is
+// dropped. Twins (u ≠ w with N(u)∖{w} = N(w)∖{u}) can swap sides without
+// changing any cut, so a vertex whose nearest earlier twin is in S joins S
+// too.
+//
+// The best cut is kept as an exact fraction of integers and divided once at
+// the end. Rounding is monotone, so the result is the least CutConductance
+// over every cut, to the bit.
 func ExactConductance(g *graph.Graph) (float64, error) {
+	var s cutSearch
+	if err := s.run(g); err != nil {
+		return 0, err
+	}
+	return float64(s.bestCut) / float64(s.bestVol), nil
+}
+
+// cutSearch is ExactConductance's branch and bound. A partial assignment
+// gives a side to each of order[:i]: the bitmap in holds those in S, and
+// the others, order[0] among them, are in S̄.
+type cutSearch struct {
+	n     int
+	order [exactLimit]int        // the vertices in assignment order
+	adj   [exactLimit]uint32     // adj[v] is N(v) as a bitmap
+	deg   [exactLimit]int        // deg[v] is the degree of v
+	twin  [exactLimit]uint32     // twin[i] holds order[i]'s nearest earlier twin, or is 0
+	done  [exactLimit + 1]uint32 // done[i] is order[:i] as a bitmap
+	rest  [exactLimit + 1]int    // rest[i] is the volume of order[i:]
+	vol   int                    // vol(G)
+	// bestCut/bestVol is the least cut/min-volume found so far; 1/0 stands
+	// for none yet and loses every comparison.
+	bestCut, bestVol int
+	nodes            int // the partial assignments visited, which the tests bound
+}
+
+// run searches g's cuts for the least conductance.
+func (s *cutSearch) run(g *graph.Graph) error {
 	n := g.N()
 	if n > exactLimit {
-		return 0, ErrTooLarge
+		return ErrTooLarge
 	}
 	if g.M() == 0 {
-		return 0, ErrNoEdges
+		return ErrNoEdges
 	}
-	var adj [exactLimit]uint32 // adj[v] is N(v) as a bitmap
+	s.n, s.vol, s.bestCut = n, g.Volume(), 1
 	for _, e := range g.Edges() {
-		adj[e.U] |= 1 << uint(e.V)
-		adj[e.V] |= 1 << uint(e.U)
+		s.adj[e.U] |= 1 << uint(e.V)
+		s.adj[e.V] |= 1 << uint(e.U)
 	}
-	totalVol := g.Volume()
-	// An endpoint other than n-1 of any edge is a candidate on its own, so
-	// best is finite at the end.
-	best := math.Inf(1)
-	var in uint32 // S as a bitmap
-	volS, cut := 0, 0
-	// Fix vertex n-1 outside S to halve the enumeration (S and S̄ give the
-	// same conductance).
-	for i := 1; i < 1<<uint(n-1); i++ {
-		v := bits.TrailingZeros(uint(i))
-		in ^= 1 << uint(v)
-		sign := 2*int(in>>uint(v)&1) - 1 // +1 if v joined S, -1 if it left
-		dv := g.Degree(v)
-		volS += sign * dv
-		cut += sign * (dv - 2*bits.OnesCount32(adj[v]&in))
-		volC := totalVol - volS
-		if volS == 0 || volC == 0 {
-			continue
-		}
-		phi := float64(cut) / float64(min(volS, volC))
-		if phi < best {
-			best = phi
+	root := 0
+	for v := range n {
+		s.deg[v] = g.Degree(v)
+		if s.deg[v] > s.deg[root] {
+			root = v
 		}
 	}
-	return best, nil
+	// Breadth-first order from root; a component left unreached starts
+	// again from its lowest vertex.
+	s.order[0] = root
+	seen := uint32(1) << uint(root)
+	for head, tail := 0, 1; head < n; head++ {
+		if head == tail {
+			v := bits.TrailingZeros32(^seen)
+			s.order[tail], seen, tail = v, seen|1<<uint(v), tail+1
+		}
+		for next := s.adj[s.order[head]] &^ seen; next != 0; next &= next - 1 {
+			v := bits.TrailingZeros32(next)
+			s.order[tail], seen, tail = v, seen|1<<uint(v), tail+1
+		}
+	}
+	s.rest[0] = s.vol
+	for i, v := range s.order[:n] {
+		s.done[i+1] = s.done[i] | 1<<uint(v)
+		s.rest[i+1] = s.rest[i] - s.deg[v]
+		for j := i - 1; j >= 0 && s.twin[i] == 0; j-- {
+			if w := s.order[j]; s.adj[v]&^(1<<uint(w)) == s.adj[w]&^(1<<uint(v)) {
+				s.twin[i] = 1 << uint(w)
+			}
+		}
+	}
+	s.visit(1, 0, 0, 0)
+	return nil
+}
+
+// visit extends a partial assignment of order[:i], with S = in of volume
+// volS and cut edges cut, to every completion that beats the best cut.
+func (s *cutSearch) visit(i int, in uint32, volS, cut int) {
+	s.nodes++
+	if i == s.n { // a complete cut that passed try's bound beats the best
+		s.bestCut, s.bestVol = cut, min(volS, s.vol-volS)
+		return
+	}
+	v := s.order[i]
+	d := s.deg[v]
+	volT := s.vol - s.rest[i] - volS
+	// Joining a side cuts v's edges to the other one.
+	cutS := cut + bits.OnesCount32(s.adj[v]&(s.done[i]&^in))
+	cutT := cut + bits.OnesCount32(s.adj[v]&in)
+	inS := in | 1<<uint(v)
+	switch {
+	case in&s.twin[i] != 0: // v's nearest earlier twin is in S
+		s.try(i+1, inS, volS+d, volT, cutS)
+	case cutS < cutT:
+		s.try(i+1, inS, volS+d, volT, cutS)
+		s.try(i+1, in, volS, volT+d, cutT)
+	default:
+		s.try(i+1, in, volS, volT+d, cutT)
+		s.try(i+1, inS, volS+d, volT, cutS)
+	}
+}
+
+// try visits the partial assignment of order[:i] with S = in, side volumes
+// volS and volT and cut edges cut, unless it cannot beat the best cut: the
+// cut only grows, and the smaller side ends with at most min(volS, volT)
+// plus the unassigned volume.
+func (s *cutSearch) try(i int, in uint32, volS, volT, cut int) {
+	if cut*s.bestVol < s.bestCut*(min(volS, volT)+s.rest[i]) {
+		s.visit(i, in, volS, cut)
+	}
 }
 
 // Estimate holds the result of the spectral conductance estimation.

@@ -10,9 +10,9 @@ import (
 	"dynamicrumor/internal/xrand"
 )
 
-// exactConductanceOracle is the direct enumeration ExactConductance replaced:
-// every subset with vertex n-1 outside, each scored directly by
-// CutConductance.
+// exactConductanceOracle is the direct enumeration ExactConductance is
+// checked against: every subset with vertex n-1 outside, each scored
+// directly by CutConductance.
 func exactConductanceOracle(g *graph.Graph) (float64, error) {
 	n := g.N()
 	if n > exactLimit {
@@ -39,10 +39,11 @@ func exactConductanceOracle(g *graph.Graph) (float64, error) {
 }
 
 // oracleFamily returns a seeded family of graphs on 2…14 vertices:
-// disconnected graphs, graphs with isolated vertices (0, which the Gray code
-// flips most often, and n-1, which the enumeration keeps outside S), stars,
-// paths, a clique plus pendant, G(n, p) and graphs with a volume-balanced
-// cut (pendantTriangle).
+// disconnected graphs, graphs whose isolated vertices are 0 and n-1 (the
+// vertex the oracle keeps outside S), stars, paths, a clique plus pendant,
+// G(n, p), graphs with a volume-balanced cut (pendantTriangle) and
+// twin-rich graphs (complete bipartite and cocktail-party graphs), whose
+// twins the search may not split freely.
 func oracleFamily(seed uint64) []*graph.Graph {
 	rng := xrand.New(seed)
 	var gs []*graph.Graph
@@ -64,12 +65,42 @@ func oracleFamily(seed uint64) []*graph.Graph {
 		gs = append(gs, split.Build(), isolated.Build(),
 			gen.Star(n, 0), gen.Star(n, n/2), gen.Star(n, n-1),
 			gen.Path(n), gen.CliqueWithPendant(n-1),
-			gen.ErdosRenyi(n, 0.3, rng), gen.ErdosRenyi(n, 0.7, rng))
+			gen.ErdosRenyi(n, 0.3, rng), gen.ErdosRenyi(n, 0.7, rng),
+			gen.CompleteBipartite(n/2, n-n/2), gen.CompleteBipartite(n/3+1, n-n/3-1),
+			cocktailParty(n))
 		if n >= 6 {
 			gs = append(gs, pendantTriangle(n, false), pendantTriangle(n, true))
 		}
 	}
 	return gs
+}
+
+// cocktailParty is K_n minus the matching {2i, 2i+1}; for odd n, vertex n-1
+// stays adjacent to all others.
+func cocktailParty(n int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for u := range n {
+		for v := u + 1; v < n; v++ {
+			if v != u^1 {
+				b.AddEdge(u, v)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// complementOfCycle is the complement of C_n. At n = 22 it is one of
+// ExactConductance's slowest inputs: it has no twins, and every cut is dense.
+func complementOfCycle(n int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for u := range n {
+		for v := u + 2; v < n; v++ {
+			if u != 0 || v != n-1 {
+				b.AddEdge(u, v)
+			}
+		}
+	}
+	return b.Build()
 }
 
 // pendantTriangle is a triangle h, c, w with one pendant leaf on c and
@@ -119,7 +150,7 @@ func e8Instances(t testing.TB) []*graph.Graph {
 }
 
 // TestExactConductanceAllocs pins ExactConductance's allocations on the
-// n = 22 instance: the walk keeps its state in fixed-size arrays.
+// n = 22 instance: the search keeps its state in fixed-size arrays.
 func TestExactConductanceAllocs(t *testing.T) {
 	g := e8Instances(t)[2]
 	if got := testing.AllocsPerRun(2, func() { _, _ = ExactConductance(g) }); got != 0 {
@@ -139,13 +170,46 @@ func matchOracle(t *testing.T, g *graph.Graph) {
 }
 
 func TestExactConductanceMatchesOracle(t *testing.T) {
-	hs := e8Instances(t)
+	gs := append(oracleFamily(31), e8Instances(t)...)
 	if testing.Short() {
-		hs = hs[:2] // the n = 22 oracle dominates a -race run
+		gs = gs[:len(gs)-1] // the n = 22 oracle dominates a -race run
+	} else {
+		gs = append(gs, gen.Clique(22), gen.Star(22, 0), gen.CompleteBipartite(11, 11),
+			complementOfCycle(22))
 	}
-	gs := append(oracleFamily(31), hs...)
 	for _, g := range gs {
 		matchOracle(t, g)
+	}
+}
+
+// TestExactConductanceMatchesOracleExhaustive compares ExactConductance with
+// the oracle on every labelled graph on 1…6 vertices, disconnected ones and
+// ties included, and stops at the first mismatch.
+func TestExactConductanceMatchesOracleExhaustive(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		for mask := 0; mask < 1<<uint(n*(n-1)/2); mask++ {
+			matchOracle(t, decodeGraph([]byte{byte(n - 1), byte(mask), byte(mask >> 8)}))
+			if t.Failed() {
+				return
+			}
+		}
+	}
+}
+
+// TestExactConductanceSearchSize pins how much of the search the bound and
+// the twin rule cut away: on E8's n = 22 instance and on the twin-rich K_22,
+// K_{1,21} and K_{11,11}, it visits at most 2^11 partial assignments, where
+// the per-subset enumeration scores 2^21 cuts.
+func TestExactConductanceSearchSize(t *testing.T) {
+	gs := []*graph.Graph{e8Instances(t)[2], gen.Clique(22), gen.Star(22, 0), gen.CompleteBipartite(11, 11)}
+	for _, g := range gs {
+		var s cutSearch
+		if err := s.run(g); err != nil {
+			t.Fatal(err)
+		}
+		if s.nodes > 1<<11 {
+			t.Errorf("n=%d m=%d: the search visits %d partial assignments, want at most %d", g.N(), g.M(), s.nodes, 1<<11)
+		}
 	}
 }
 
@@ -153,6 +217,19 @@ func TestExactConductanceMatchesOracle(t *testing.T) {
 // the largest graph the experiments measure exactly.
 func BenchmarkExactConductanceN22(b *testing.B) {
 	g := e8Instances(b)[2]
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ExactConductance(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExactConductanceDense times one exact pass over the complement of
+// C_22, which takes the search 1.1 M partial assignments. Dense graphs are
+// its worst case: the slowest found, a G(22, 0.9), took 1.3 M.
+func BenchmarkExactConductanceDense(b *testing.B) {
+	g := complementOfCycle(22)
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := ExactConductance(g); err != nil {
