@@ -18,10 +18,11 @@ BENCH_ANCHORS := BenchmarkMonteCarlo|BenchmarkGNRhoConstructionN2048|BenchmarkAs
 SERVICE_BENCH_ANCHORS := BenchmarkSweepNative24Cells|BenchmarkSweepSeparate24Cells
 
 # The reproduction's timing benchmarks: one per experiment E1–E12 (quick
-# mode at seed 20200424, in the root package) and the exact Φ and ρ kernels
-# on E8's n = 22 instance.
+# mode at seed 20200424, in the root package), the exact Φ and ρ kernels
+# on E8's n = 22 instance, and exact Φ on a dense graph, its worst case
+# (the complement of C_22).
 EXPERIMENT_BENCHES := ^BenchmarkE[0-9]
-KERNEL_BENCHES := ^BenchmarkExact(Conductance)?N22
+KERNEL_BENCHES := ^BenchmarkExact(Conductance)?(N22|Dense)
 
 all: check
 
