@@ -100,7 +100,7 @@ func printInfo(out *os.File, family string, g *rumor.Graph) error {
 	if rho, err := rumor.Diligence(g); err == nil {
 		fmt.Fprintf(out, "diligence ρ(G) (exact):          %.6f\n", rho)
 	} else {
-		fmt.Fprintf(out, "diligence ρ(G) (stand-in):       %.6f (exact enumeration infeasible at this size)\n", profile.Rho)
+		fmt.Fprintf(out, "diligence ρ(G) (stand-in):       %.6f (ρ̄·d̄; exact ρ is limited to 22 vertices)\n", profile.Rho)
 	}
 	fmt.Fprintf(out, "absolute diligence ρ̄(G):         %.6f\n", rumor.AbsoluteDiligence(g))
 
