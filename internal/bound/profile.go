@@ -59,11 +59,11 @@ const memoSize = 4
 // the once-per-step discipline stateful networks rely on. A graph is measured
 // only if it differs from each of the few distinct graphs measured most
 // recently, so a static or periodic network is measured once per distinct
-// graph. That memo is keyed by content — the vertex count and the canonical
-// edge list, compared in full against an edge copy the profiler owns — never
-// by pointer, because rebuilding networks recycle graph storage and expose
-// new content at an old address. Evicted entries hand their edge buffers to
-// the next graph, so the memo neither grows nor allocates once warm.
+// graph. That memo is keyed by content — the compressed adjacency, compared
+// in full against a copy the profiler owns — never by pointer, because
+// rebuilding networks recycle graph storage and expose new content at an old
+// address. Evicted entries hand their buffers to the next graph, so the memo
+// neither grows nor allocates once warm.
 type NetworkProfiler struct {
 	graphAt func(t int) *graph.Graph
 	cache   map[int]StepProfile
@@ -72,8 +72,8 @@ type NetworkProfiler struct {
 
 // measured is a graph the profiler has measured, keyed by its content.
 type measured struct {
-	n       int
-	edges   []graph.Edge
+	off     []int   // copy of the graph's CSR offsets
+	adj     []int32 // copy of the graph's CSR neighbor ids
 	profile StepProfile
 }
 
@@ -95,19 +95,20 @@ func (np *NetworkProfiler) Profile(t int) StepProfile {
 // measure returns the profile of g, from the memo when a graph with the same
 // content was measured recently.
 func (np *NetworkProfiler) measure(g *graph.Graph) StepProfile {
+	off, adj := g.CSR()
 	for _, m := range np.memo {
-		if m.n == g.N() && slices.Equal(m.edges, g.Edges()) {
+		if slices.Equal(m.off, off) && slices.Equal(m.adj, adj) {
 			return m.profile
 		}
 	}
 	if len(np.memo) < memoSize {
 		np.memo = append(np.memo, measured{})
 	}
-	// Evict the oldest entry, reusing its edge buffer, and put g in front.
+	// Evict the oldest entry, reusing its buffers, and put g in front.
 	m := np.memo[len(np.memo)-1]
 	copy(np.memo[1:], np.memo[:len(np.memo)-1])
-	m.n = g.N()
-	m.edges = append(m.edges[:0], g.Edges()...)
+	m.off = append(m.off[:0], off...)
+	m.adj = append(m.adj[:0], adj...)
 	m.profile = MeasureProfile(g)
 	np.memo[0] = m
 	return m.profile

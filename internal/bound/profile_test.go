@@ -37,12 +37,12 @@ func TestNetworkProfilerOnRecyclingNetwork(t *testing.T) {
 			t.Fatalf("graphAt(%d) called after %d calls, want steps in order, once each", s, len(calls))
 		}
 		g := net.GraphAt(s, nil)
-		calls = append(calls, exposed{g, slices.Clone(g.Edges())})
+		calls = append(calls, exposed{g, g.AppendEdges(nil)})
 		return g
 	})
 	want := make([]StepProfile, steps)
 	for s := range steps {
-		want[s] = MeasureProfile(graph.FromEdges(n, twin.GraphAt(s, nil).Edges()))
+		want[s] = MeasureProfile(graph.FromEdges(n, twin.GraphAt(s, nil).AppendEdges(nil)))
 		if got := np.Profile(s); got != want[s] {
 			t.Fatalf("step %d: profile %+v, want %+v", s, got, want[s])
 		}

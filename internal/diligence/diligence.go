@@ -40,13 +40,10 @@ func Absolute(g *graph.Graph) float64 {
 	// max(1/du, 1/dv) = 1 / min(du, dv), so the minimizing edge maximizes
 	// min(du, dv).
 	worst := 0
-	for _, e := range g.Edges() {
-		m := g.Degree(e.U)
-		if d := g.Degree(e.V); d < m {
-			m = d
-		}
-		if m > worst {
-			worst = m
+	for u := range g.N() {
+		du := g.Degree(u)
+		for _, v := range g.Neighbors(u) {
+			worst = max(worst, min(du, g.Degree(int(v))))
 		}
 	}
 	return 1 / float64(worst)
@@ -70,22 +67,17 @@ func OfCut(g *graph.Graph, member []bool) float64 {
 	}
 	avg := float64(vol) / float64(size)
 	// min over cut edges of avg/min(du,dv) = avg / max over cut edges of min(du,dv).
+	// Every cut edge scores at least 1, so worst stays 0 only without one.
 	worst := 0
-	found := false
-	for _, e := range g.Edges() {
-		if member[e.U] == member[e.V] {
-			continue
-		}
-		found = true
-		m := g.Degree(e.U)
-		if d := g.Degree(e.V); d < m {
-			m = d
-		}
-		if m > worst {
-			worst = m
+	for u, in := range member {
+		du := g.Degree(u)
+		for _, v := range g.Neighbors(u) {
+			if member[v] != in {
+				worst = max(worst, min(du, g.Degree(int(v))))
+			}
 		}
 	}
-	if !found {
+	if worst == 0 {
 		return 0
 	}
 	return avg / float64(worst)
@@ -133,7 +125,8 @@ func Exact(g *graph.Graph) (float64, error) {
 	}
 	for u := range n {
 		du := g.Degree(u)
-		for _, v := range g.Neighbors(u) {
+		for _, v32 := range g.Neighbors(u) {
+			v := int(v32)
 			// {u} fits the cap, because d_u <= m.
 			vol, size := du, 1
 			for _, w := range byDegree[:n] {

@@ -62,8 +62,12 @@ func (em *EdgeMarkovian) Reset(rng *xrand.RNG) error {
 		em.present[i] = false
 	}
 	if em.initial != nil {
-		for _, e := range em.initial.Edges() {
-			em.present[em.pairIndex(e.U, e.V)] = true
+		for u := range em.n {
+			for _, v := range em.initial.Neighbors(u) {
+				if int(v) > u {
+					em.present[em.pairIndex(u, int(v))] = true
+				}
+			}
 		}
 	}
 	em.materialize()

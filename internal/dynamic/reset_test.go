@@ -69,7 +69,7 @@ func fingerprint(g *graph.Graph) uint64 {
 		h *= 1099511628211
 	}
 	mix(uint64(g.N()))
-	for _, e := range g.Edges() {
+	for _, e := range g.AppendEdges(nil) {
 		mix(uint64(e.U)<<32 | uint64(e.V))
 	}
 	return h

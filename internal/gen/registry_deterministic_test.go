@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 
 	"dynamicrumor/internal/graph"
@@ -130,14 +131,5 @@ func TestAppendErdosRenyiRecycles(t *testing.T) {
 
 // sameEdges reports whether two graphs have identical sorted edge lists.
 func sameEdges(a, b *graph.Graph) bool {
-	if a.N() != b.N() || a.M() != b.M() {
-		return false
-	}
-	ae, be := a.Edges(), b.Edges()
-	for i := range ae {
-		if ae[i] != be[i] {
-			return false
-		}
-	}
-	return true
+	return a.N() == b.N() && slices.Equal(a.AppendEdges(nil), b.AppendEdges(nil))
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -9,8 +10,9 @@ import (
 
 // mapReferenceGraph is the historical map-dedup + comparison-sort
 // construction the counting-sort builder replaced; the property tests below
-// pin the new path to it bit for bit.
-func mapReferenceGraph(n int, edges []Edge) *Graph {
+// pin the new path to it bit for bit. It also returns the canonical sorted
+// edge list.
+func mapReferenceGraph(n int, edges []Edge) (*Graph, []Edge) {
 	seen := make(map[Edge]struct{}, len(edges))
 	var clean []Edge
 	for _, e := range edges {
@@ -30,31 +32,29 @@ func mapReferenceGraph(n int, edges []Edge) *Graph {
 		}
 		return clean[i].V < clean[j].V
 	})
-	g := &Graph{n: n, edges: clean}
-	g.degree = make([]int, n)
+	g := &Graph{n: n}
+	g.degree = make([]int32, n)
 	for _, e := range clean {
 		g.degree[e.U]++
 		g.degree[e.V]++
 	}
 	g.adjOff = make([]int, n+1)
 	for v := 0; v < n; v++ {
-		g.adjOff[v+1] = g.adjOff[v] + g.degree[v]
+		g.adjOff[v+1] = g.adjOff[v] + int(g.degree[v])
 	}
-	g.adj = make([]int, 2*len(clean))
+	g.adj = make([]int32, 2*len(clean))
 	fill := make([]int, n)
 	copy(fill, g.adjOff[:n])
 	for _, e := range clean {
-		g.adj[fill[e.U]] = e.V
+		g.adj[fill[e.U]] = int32(e.V)
 		fill[e.U]++
-		g.adj[fill[e.V]] = e.U
+		g.adj[fill[e.V]] = int32(e.U)
 		fill[e.V]++
 	}
 	for v := 0; v < n; v++ {
-		nb := g.adj[g.adjOff[v]:g.adjOff[v+1]]
-		sort.Ints(nb)
-		g.volume += g.degree[v]
+		slices.Sort(g.adj[g.adjOff[v]:g.adjOff[v+1]])
 	}
-	return g
+	return g, clean
 }
 
 // requireSameGraph asserts that got and want agree on every observable:
@@ -65,26 +65,15 @@ func requireSameGraph(t *testing.T, got, want *Graph) {
 		t.Fatalf("shape mismatch: got n=%d m=%d vol=%d, want n=%d m=%d vol=%d",
 			got.N(), got.M(), got.Volume(), want.N(), want.M(), want.Volume())
 	}
-	if len(got.Edges()) != len(want.Edges()) {
-		t.Fatalf("edge count mismatch: %d vs %d", len(got.Edges()), len(want.Edges()))
-	}
-	for i, e := range want.Edges() {
-		if got.Edges()[i] != e {
-			t.Fatalf("edge %d mismatch: got %v, want %v", i, got.Edges()[i], e)
-		}
+	if ge, we := got.AppendEdges(nil), want.AppendEdges(nil); !slices.Equal(ge, we) {
+		t.Fatalf("edge lists differ: got %v, want %v", ge, we)
 	}
 	for v := 0; v < want.N(); v++ {
 		if got.Degree(v) != want.Degree(v) {
 			t.Fatalf("degree of %d: got %d, want %d", v, got.Degree(v), want.Degree(v))
 		}
-		gn, wn := got.Neighbors(v), want.Neighbors(v)
-		if len(gn) != len(wn) {
-			t.Fatalf("neighbor list length of %d: got %d, want %d", v, len(gn), len(wn))
-		}
-		for i := range wn {
-			if gn[i] != wn[i] {
-				t.Fatalf("neighbor order of %d differs at %d: got %v, want %v", v, i, gn, wn)
-			}
+		if gn, wn := got.Neighbors(v), want.Neighbors(v); !slices.Equal(gn, wn) {
+			t.Fatalf("neighbors of %d: got %v, want %v", v, gn, wn)
 		}
 	}
 	if err := got.Validate(); err != nil {
@@ -110,10 +99,14 @@ func TestBuilderMatchesMapReference(t *testing.T) {
 			}
 		}
 		got := FromEdges(n, edges)
-		want := mapReferenceGraph(n, edges)
+		want, wantEdges := mapReferenceGraph(n, edges)
 		requireSameGraph(t, got, want)
+		if ge := got.AppendEdges(nil); !slices.Equal(ge, wantEdges) {
+			t.Fatalf("AppendEdges = %v, want %v", ge, wantEdges)
+		}
 
-		// The same multiset through the incremental builder.
+		// The same multiset through the incremental builder, built twice:
+		// a build keeps the builder's edges, so the second is the same graph.
 		b := NewBuilder(n)
 		for _, e := range edges {
 			b.AddEdge(e.U, e.V)
@@ -121,6 +114,7 @@ func TestBuilderMatchesMapReference(t *testing.T) {
 		if b.NumEdges() != want.M() {
 			t.Fatalf("NumEdges = %d, want %d", b.NumEdges(), want.M())
 		}
+		requireSameGraph(t, b.Build(), want)
 		requireSameGraph(t, b.Build(), want)
 	}
 }

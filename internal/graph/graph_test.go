@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -24,7 +25,9 @@ func TestBuilderBasic(t *testing.T) {
 	if b.NumEdges() != 2 {
 		t.Fatalf("NumEdges = %d, want 2", b.NumEdges())
 	}
-	if !b.HasEdge(1, 0) || b.HasEdge(0, 2) {
+	// 2<<32|3 would pack into the key of {2, 3} if HasEdge skipped its range
+	// check.
+	if !b.HasEdge(1, 0) || b.HasEdge(0, 2) || b.HasEdge(0, 2<<32|3) || b.HasEdge(-1, 0) {
 		t.Fatal("HasEdge gave wrong answer")
 	}
 	g := b.Build()
@@ -87,15 +90,8 @@ func TestDegreesAndVolume(t *testing.T) {
 
 func TestNeighborsSorted(t *testing.T) {
 	g := FromEdges(5, []Edge{{4, 0}, {2, 0}, {0, 3}})
-	nb := g.Neighbors(0)
-	want := []int{2, 3, 4}
-	if len(nb) != 3 {
-		t.Fatalf("len(Neighbors) = %d", len(nb))
-	}
-	for i := range want {
-		if nb[i] != want[i] {
-			t.Fatalf("Neighbors(0) = %v, want %v", nb, want)
-		}
+	if nb := g.Neighbors(0); !slices.Equal(nb, []int32{2, 3, 4}) {
+		t.Fatalf("Neighbors(0) = %v, want [2 3 4]", nb)
 	}
 	if g.Neighbor(0, 1) != 3 {
 		t.Fatalf("Neighbor(0,1) = %d, want 3", g.Neighbor(0, 1))

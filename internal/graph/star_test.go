@@ -17,29 +17,7 @@ func TestStarIntoMatchesBuilder(t *testing.T) {
 				return b.Build()
 			}()
 			got := StarInto(nil, n, center)
-			if err := got.Validate(); err != nil {
-				t.Fatalf("n=%d center=%d: %v", n, center, err)
-			}
-			if got.N() != want.N() || got.M() != want.M() || got.Volume() != want.Volume() {
-				t.Fatalf("n=%d center=%d: size mismatch", n, center)
-			}
-			we, ge := want.Edges(), got.Edges()
-			for i := range we {
-				if we[i] != ge[i] {
-					t.Fatalf("n=%d center=%d: edge %d: got %v, want %v", n, center, i, ge[i], we[i])
-				}
-			}
-			for v := 0; v < n; v++ {
-				if got.Degree(v) != want.Degree(v) {
-					t.Fatalf("n=%d center=%d: degree of %d differs", n, center, v)
-				}
-				wn, gn := want.Neighbors(v), got.Neighbors(v)
-				for i := range wn {
-					if wn[i] != gn[i] {
-						t.Fatalf("n=%d center=%d: neighbors of %d differ", n, center, v)
-					}
-				}
-			}
+			requireSameGraph(t, got, want)
 		}
 	}
 }

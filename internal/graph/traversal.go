@@ -19,7 +19,7 @@ func (g *Graph) BFS(source int) []int {
 		for _, u := range g.Neighbors(v) {
 			if dist[u] == -1 {
 				dist[u] = dist[v] + 1
-				queue = append(queue, u)
+				queue = append(queue, int(u))
 			}
 		}
 	}
@@ -62,7 +62,7 @@ func (g *Graph) Components() ([]int, int) {
 			for _, u := range g.Neighbors(v) {
 				if comp[u] == -1 {
 					comp[u] = next
-					stack = append(stack, u)
+					stack = append(stack, int(u))
 				}
 			}
 		}

@@ -262,7 +262,7 @@ func (st *asyncState) sampleNewlyInformed(rng *xrand.RNG, total float64) int {
 	for _, u := range st.g.Neighbors(x) {
 		if !st.informed[u] {
 			if seen == target {
-				return u
+				return int(u)
 			}
 			seen++
 		}
@@ -306,12 +306,12 @@ func (st *asyncState) inform(v int) {
 		if cu != 0 {
 			if inf {
 				if mode != PullOnly {
-					w = rate * float64(cu) / float64(st.g.Degree(u))
+					w = rate * float64(cu) / float64(st.g.Degree(int(u)))
 				}
 			} else if mode != PushOnly {
-				w = rate * float64(cu) / float64(st.g.Degree(u))
+				w = rate * float64(cu) / float64(st.g.Degree(int(u)))
 			}
 		}
-		st.weights.Set(u, w)
+		st.weights.Set(int(u), w)
 	}
 }

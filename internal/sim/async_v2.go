@@ -400,7 +400,7 @@ func (st *asyncStateV2) sampleNewlyInformed(rng *xrand.RNG, total float64) int {
 	for _, u := range st.g.Neighbors(x) {
 		if !st.informed[u] {
 			if seen == target {
-				return u
+				return int(u)
 			}
 			seen++
 		}
@@ -442,13 +442,13 @@ func (st *asyncStateV2) inform(v int) {
 		if cu != 0 {
 			if inf {
 				if mode != PullOnly {
-					wu = rate * float64(cu) / float64(st.g.Degree(u))
+					wu = rate * float64(cu) / float64(st.g.Degree(int(u)))
 				}
 			} else if mode != PushOnly {
-				wu = rate * float64(cu) / float64(st.g.Degree(u))
+				wu = rate * float64(cu) / float64(st.g.Degree(int(u)))
 			}
 		}
-		st.setWeight(u, wu)
+		st.setWeight(int(u), wu)
 	}
 	st.maybeRebuild()
 }

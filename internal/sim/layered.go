@@ -169,7 +169,7 @@ func RunTwoPushOnLayers(g *graph.Graph, opts LayeredOptions, rng *xrand.RNG) (*L
 		fill := candOff[v]
 		for _, u := range g.Neighbors(v) {
 			if layerIndex[u] >= 0 {
-				cands[fill] = u
+				cands[fill] = int(u)
 				fill++
 			}
 		}

@@ -172,7 +172,7 @@ func RunFloodingInto(net dynamic.Network, opts SyncOptions, rng *xrand.RNG, sc *
 			for _, u := range g.Neighbors(v) {
 				if !informed[u] {
 					informed[u] = true
-					spread = append(spread, u)
+					spread = append(spread, int(u))
 				}
 			}
 		}

@@ -101,12 +101,11 @@ func (s *cutSearch) run(g *graph.Graph) error {
 		return ErrNoEdges
 	}
 	s.n, s.vol, s.bestCut = n, g.Volume(), 1
-	for _, e := range g.Edges() {
-		s.adj[e.U] |= 1 << uint(e.V)
-		s.adj[e.V] |= 1 << uint(e.U)
-	}
 	root := 0
 	for v := range n {
+		for _, u := range g.Neighbors(v) {
+			s.adj[v] |= 1 << uint(u)
+		}
 		s.deg[v] = g.Degree(v)
 		if s.deg[v] > s.deg[root] {
 			root = v
