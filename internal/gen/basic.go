@@ -14,6 +14,7 @@ import (
 // Clique returns the complete graph K_n.
 func Clique(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
+	b.Grow(n * (n - 1) / 2)
 	AppendClique(b, n)
 	return b.Build()
 }
@@ -36,18 +37,13 @@ func Star(n, center int) *graph.Graph {
 	if center < 0 || center >= n {
 		panic(fmt.Sprintf("gen: star center %d out of range for n=%d", center, n))
 	}
-	b := graph.NewBuilder(n)
-	for v := 0; v < n; v++ {
-		if v != center {
-			b.AddEdge(center, v)
-		}
-	}
-	return b.Build()
+	return graph.StarInto(nil, n, center)
 }
 
 // Path returns the path 0-1-...-(n-1).
 func Path(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
+	b.Grow(n - 1)
 	for v := 0; v+1 < n; v++ {
 		b.AddEdge(v, v+1)
 	}
@@ -58,6 +54,7 @@ func Path(n int) *graph.Graph {
 // n degenerates into a path or an edgeless graph).
 func Cycle(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
+	b.Grow(n)
 	if n >= 3 {
 		for v := 0; v < n; v++ {
 			b.AddEdge(v, (v+1)%n)
@@ -72,6 +69,7 @@ func Cycle(n int) *graph.Graph {
 // one side and the remaining b vertices the other.
 func CompleteBipartite(a, b int) *graph.Graph {
 	bu := graph.NewBuilder(a + b)
+	bu.Grow(a * b)
 	for u := 0; u < a; u++ {
 		for v := a; v < a+b; v++ {
 			bu.AddEdge(u, v)
@@ -83,6 +81,7 @@ func CompleteBipartite(a, b int) *graph.Graph {
 // Grid returns the rows x cols grid graph (4-neighbor lattice, no wraparound).
 func Grid(rows, cols int) *graph.Graph {
 	b := graph.NewBuilder(rows * cols)
+	b.Grow(rows*(cols-1) + (rows-1)*cols)
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -101,6 +100,7 @@ func Grid(rows, cols int) *graph.Graph {
 // which is 4-regular for rows, cols >= 3.
 func Torus(rows, cols int) *graph.Graph {
 	b := graph.NewBuilder(rows * cols)
+	b.Grow(2 * rows * cols)
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -119,6 +119,7 @@ func Hypercube(d int) *graph.Graph {
 	}
 	n := 1 << uint(d)
 	b := graph.NewBuilder(n)
+	b.Grow(n * d)
 	for v := 0; v < n; v++ {
 		for bit := 0; bit < d; bit++ {
 			b.AddEdge(v, v^(1<<uint(bit)))
@@ -132,6 +133,7 @@ func Hypercube(d int) *graph.Graph {
 // or n are ignored.
 func Circulant(n int, offsets []int) *graph.Graph {
 	b := graph.NewBuilder(n)
+	b.Grow(n * len(offsets))
 	for v := 0; v < n; v++ {
 		for _, o := range offsets {
 			o = ((o % n) + n) % n
@@ -149,6 +151,7 @@ func Circulant(n int, offsets []int) *graph.Graph {
 // the second clique). The total vertex count is 2k.
 func Barbell(k int) *graph.Graph {
 	b := graph.NewBuilder(2 * k)
+	b.Grow(k*(k-1) + 1)
 	for u := 0; u < k; u++ {
 		for v := u + 1; v < k; v++ {
 			b.AddEdge(u, v)
@@ -166,6 +169,7 @@ func Barbell(k int) *graph.Graph {
 // network G1 in Figure 1(a) of the paper. The total vertex count is n+1.
 func CliqueWithPendant(n int) *graph.Graph {
 	b := graph.NewBuilder(n + 1)
+	b.Grow(n*(n-1)/2 + 1)
 	AppendClique(b, n)
 	if n >= 1 {
 		b.AddEdge(0, n)
@@ -180,6 +184,8 @@ func CliqueWithPendant(n int) *graph.Graph {
 // bridge endpoints must belong to the respective sides.
 func TwoCliquesBridged(n int, left, right []int, bridgeLeft, bridgeRight int) *graph.Graph {
 	b := graph.NewBuilder(n)
+	l, r := len(left), len(right)
+	b.Grow(l*(l-1)/2 + r*(r-1)/2 + 1)
 	addClique := func(vs []int) {
 		for i := 0; i < len(vs); i++ {
 			for j := i + 1; j < len(vs); j++ {
