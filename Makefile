@@ -24,6 +24,11 @@ SERVICE_BENCH_ANCHORS := BenchmarkSweepNative24Cells|BenchmarkSweepSeparate24Cel
 EXPERIMENT_BENCHES := ^BenchmarkE[0-9]
 KERNEL_BENCHES := ^BenchmarkExact(Conductance)?(N22|Dense)
 
+# Graph construction alone (internal/graph): recorded emissions of the
+# 512×512 torus (cold and recycled), K_256 (cold) and 8 random perfect
+# matchings on 10⁴ vertices (recycled) replayed into the builder.
+GRAPH_BENCHES := ^BenchmarkBuild
+
 all: check
 
 build:
@@ -73,7 +78,7 @@ bench-json:
 # nobody is looking at their numbers.
 bench-smoke:
 	$(GO) test -run NONE -bench '$(BENCH_ANCHORS)|$(EXPERIMENT_BENCHES)' -benchtime 1x -benchmem .
-	$(GO) test -run NONE -bench '$(KERNEL_BENCHES)' -benchtime 1x -benchmem ./internal/diligence ./internal/spectral
+	$(GO) test -run NONE -bench '$(KERNEL_BENCHES)|$(GRAPH_BENCHES)' -benchtime 1x -benchmem ./internal/diligence ./internal/spectral ./internal/graph
 	$(GO) test -run NONE -bench '$(SERVICE_BENCH_ANCHORS)' -benchtime 1x -benchmem ./internal/service
 
 # bench-service runs the service load harness: submission-latency
