@@ -47,17 +47,6 @@ func matchingsEmission(n, k int, rng *xrand.RNG) []Edge {
 	return es
 }
 
-// coldBuild builds the emission on a fresh builder, pre-sized the way the
-// deterministic gen constructions pre-size theirs.
-func coldBuild(n int, emission []Edge) *Graph {
-	b := NewBuilder(n)
-	b.Grow(len(emission))
-	for _, e := range emission {
-		b.AddEdge(e.U, e.V)
-	}
-	return b.Build()
-}
-
 // recycledBuild rebuilds the emission on b into dst, as the rebuilding
 // dynamic networks do every step.
 func recycledBuild(b *Builder, dst *Graph, n int, emission []Edge) *Graph {
@@ -87,14 +76,15 @@ func heapCost(runs int, f func()) (bytes, objects uint64) {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs), (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
-// TestColdBuildBytes gates what one cold build allocates. The layout is the
-// packed keys and their sort scratch (8 bytes each per added edge), the
-// histogram and the CSR offsets (8 bytes per vertex each), the int32
-// neighbor ids (8 bytes per edge) and the int32 degrees (4 per vertex). The
-// budget is that layout plus an eighth for allocator size classes; an extra
-// per-edge array, such as an edge list beside the CSR, exceeds it. The
-// object count is exact: the graph, its three arrays and the builder's
-// three buffers.
+// TestColdBuildBytes gates what one cold build allocates: FromEdges, which
+// pre-sizes its builder the way the deterministic gen constructions do. The
+// layout is the packed keys and their sort scratch (8 bytes each per added
+// edge), the histogram and the CSR offsets (8 bytes per vertex each), the
+// int32 neighbor ids (8 bytes per edge) and the int32 degrees (4 per
+// vertex). The budget is that layout plus an eighth for allocator size
+// classes; an extra per-edge array, such as an edge list beside the CSR,
+// exceeds it. The object count is exact: the graph, its three arrays and
+// the builder's three buffers.
 func TestColdBuildBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -108,7 +98,7 @@ func TestColdBuildBytes(t *testing.T) {
 		{"torus64x64", 64 * 64, torusEmission(64, 64)},
 		{"clique64", 64, cliqueEmission(64)},
 	} {
-		bytes, objects := heapCost(5, func() { sink = coldBuild(c.n, c.emission) })
+		bytes, objects := heapCost(5, func() { sink = FromEdges(c.n, c.emission) })
 		keys, m := uint64(len(c.emission)), uint64(sink.M())
 		layout := 16*keys + 16*uint64(c.n) + 8 + 8*m + 4*uint64(c.n)
 		if budget := layout + layout/8; bytes > budget {
@@ -154,7 +144,7 @@ var buildSink *Graph
 func benchmarkColdBuild(b *testing.B, n int, emission []Edge) {
 	b.ReportAllocs()
 	for b.Loop() {
-		buildSink = coldBuild(n, emission)
+		buildSink = FromEdges(n, emission)
 	}
 }
 
