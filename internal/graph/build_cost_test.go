@@ -66,7 +66,7 @@ var raceEnabled bool
 // over runs calls, on one P so that no other goroutine's allocations count.
 func heapCost(runs int, f func()) (bytes, objects uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f() // warm up lazily initialised runtime state
+	f() // warm up lazily initialized runtime state
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
