@@ -1,7 +1,7 @@
 // Package obs is the zero-dependency observability layer of the rumord
-// service and cluster: mergeable log-linear latency histograms, a bounded
-// in-memory flight recorder of per-run phase spans, structured-logging
-// construction on log/slog, and the HTTP access-log middleware.
+// service and cluster: log-linear latency histograms, per-run traces of
+// phase spans (the flight recorder), structured-logging construction on
+// log/slog, and the HTTP access-log middleware.
 //
 // The layer observes timing strictly outside the repetition math: nothing in
 // it touches the deterministic RNG streams or the reduction order, so the
@@ -74,9 +74,6 @@ func BucketBound(i int) int64 {
 
 // Histogram is one latency distribution: a fixed array of atomic counters
 // plus the running sum, so Observe is wait-free and safe from any goroutine.
-// Snapshots are mergeable the way stats.Merger chunks are — bucket counts
-// and sums add — which is what lets a coordinator fold worker-side
-// distributions into its own.
 type Histogram struct {
 	name string // short name, e.g. "queue_wait"; see Snapshot.PromName
 	help string
@@ -107,23 +104,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Merge folds a snapshot's counts into the histogram (coordinator-side
-// aggregation of worker distributions). Snapshots from a different layout
-// are ignored rather than misfiled.
-func (h *Histogram) Merge(s Snapshot) {
-	if h == nil || len(s.Counts) != NumBuckets {
-		return
-	}
-	for i, c := range s.Counts {
-		if c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	if s.SumNanos > 0 {
-		h.sum.Add(s.SumNanos)
-	}
-}
-
 // Snapshot reads the current counts. Under concurrent Observe calls the
 // counts and sum may tear by a few in-flight observations — acceptable for
 // monitoring, and the derived totals are always internally consistent
@@ -141,7 +121,7 @@ func (h *Histogram) Snapshot() Snapshot {
 	return s
 }
 
-// Snapshot is a point-in-time copy of a histogram, safe to render, merge or
+// Snapshot is a point-in-time copy of a histogram, safe to render or
 // ship without further synchronization.
 type Snapshot struct {
 	Name     string

@@ -90,28 +90,6 @@ func TestHistogramObserveAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram("a", ""), NewHistogram("b", "")
-	for i := 0; i < 10; i++ {
-		a.Observe(time.Millisecond)
-		b.Observe(time.Second)
-	}
-	a.Merge(b.Snapshot())
-	s := a.Snapshot()
-	if got := s.Total(); got != 20 {
-		t.Fatalf("merged Total = %d, want 20", got)
-	}
-	want := 10*int64(time.Millisecond) + 10*int64(time.Second)
-	if s.SumNanos != want {
-		t.Errorf("merged SumNanos = %d, want %d", s.SumNanos, want)
-	}
-	// A mismatched layout must be ignored, not misfiled.
-	a.Merge(Snapshot{Counts: []uint64{1, 2, 3}, SumNanos: 99})
-	if got := a.Snapshot().Total(); got != 20 {
-		t.Errorf("after bad merge Total = %d, want 20", got)
-	}
-}
-
 func TestHistogramQuantile(t *testing.T) {
 	h := NewHistogram("q", "")
 	// 100 observations at ~1ms, 100 at ~100ms: the median straddles the
@@ -163,7 +141,6 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 func TestNilHistogramIsSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(time.Second) // must not panic
-	h.Merge(Snapshot{})
 }
 
 func TestRegistryGetOrCreate(t *testing.T) {

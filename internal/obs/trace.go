@@ -8,10 +8,9 @@ import (
 
 // The flight recorder: every run gets a Trace at submission, phases append
 // Spans as they happen, and GET /v1/runs/{id}/trace replays the timeline.
-// Both dimensions are bounded — the recorder retains the newest traces up to
-// its capacity (FIFO eviction of the oldest), and a trace caps its span
-// count, counting overflow instead of growing — so a long-lived daemon's
-// trace memory is O(capacity · maxSpans) no matter how many runs it serves.
+// A trace caps its span count, counting overflow instead of growing, and
+// lives on its run's job record, so the service's job and sweep history
+// bounds how many traces a long-lived daemon keeps.
 
 // maxSpansPerTrace bounds one trace's timeline. A plain run records a
 // handful of spans; a large cluster run records a few per shard, so 1024
@@ -40,6 +39,11 @@ type Trace struct {
 	run     string
 	spans   []Span
 	dropped int
+}
+
+// NewTrace starts an empty timeline for run under the trace ID id.
+func NewTrace(id, run string) *Trace {
+	return &Trace{id: id, run: run}
 }
 
 // ID returns the trace identifier ("" for a nil trace).
@@ -121,53 +125,4 @@ func (t *Trace) View() TraceView {
 		}
 	}
 	return v
-}
-
-// Recorder is the bounded trace store.
-type Recorder struct {
-	mu       sync.Mutex
-	capacity int
-	traces   map[string]*Trace
-	order    []string // insertion order, oldest first
-}
-
-// NewRecorder returns a recorder retaining up to capacity traces
-// (<= 0 selects 512).
-func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = 512
-	}
-	return &Recorder{capacity: capacity, traces: make(map[string]*Trace)}
-}
-
-// Start registers a new trace for a run, evicting the oldest beyond
-// capacity. Holders of an evicted *Trace keep using it safely — eviction
-// only drops the recorder's own reference.
-func (r *Recorder) Start(id, run string) *Trace {
-	t := &Trace{id: id, run: run}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.traces[id]; !ok {
-		r.order = append(r.order, id)
-	}
-	r.traces[id] = t
-	for len(r.order) > r.capacity {
-		delete(r.traces, r.order[0])
-		r.order = r.order[1:]
-	}
-	return t
-}
-
-// Lookup finds a retained trace by ID (nil when unknown or evicted).
-func (r *Recorder) Lookup(id string) *Trace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.traces[id]
-}
-
-// Len reports the retained trace count.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.order)
 }

@@ -79,7 +79,7 @@ type job struct {
 
 	// trace is the job's flight-recorder timeline (see internal/obs): phase
 	// spans from submission to settlement, plus per-shard spans in cluster
-	// mode. Never nil after newJobLocked / recovery.
+	// mode. Never nil: newJobLocked opens it.
 	trace *obs.Trace
 
 	workers         int
@@ -112,6 +112,38 @@ func runKey(canonical []byte, seed uint64, reps int) string {
 	binary.LittleEndian.PutUint64(tail[9:17], uint64(reps))
 	h.Write(tail[:])
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// plannedCell is one run ready for admission: a validated scenario, its
+// canonical encoding and its cache key. The sweep planner makes one per grid
+// point, labelled with the point; a single submission makes one unlabelled.
+type plannedCell struct {
+	label     string
+	sc        engine.Scenario
+	canonical []byte
+	seed      uint64
+	key       string
+}
+
+// planRun prepares a scenario for admission, identically for POST /v1/runs
+// and every sweep cell, so equal runs get equal cache keys on either path.
+// Trace recording is stripped (the service reports summaries, never
+// traces), and the default stream discipline applies to async scenarios
+// that do not pin one; both happen before canonicalization, so the key
+// reflects what actually runs. On error the cell still carries the prepared
+// scenario, so the planner can name the cell that failed.
+func planRun(sc engine.Scenario, seed uint64, reps, defaultStream int) (plannedCell, error) {
+	sc.Trace = false
+	if defaultStream != 0 && sc.Stream == 0 && sc.Protocol.Normalize() == engine.ProtocolAsync {
+		sc.Stream = defaultStream
+	}
+	pc := plannedCell{sc: sc, seed: seed}
+	canonical, err := engine.Canonical(sc)
+	if err != nil {
+		return pc, err
+	}
+	pc.canonical, pc.key = canonical, runKey(canonical, seed, reps)
+	return pc, nil
 }
 
 // RunSummary is the result document of a completed job, kept deliberately

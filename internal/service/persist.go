@@ -129,9 +129,9 @@ func (s *Service) openLedger(path string) error {
 
 // recoverSweep re-adopts one journalled, unsettled sweep: the recorded
 // request is re-planned (planning is deterministic, so the cells carry
-// their original IDs, labels and cache keys) and every cell runs the
-// standard re-adoption ladder — settled from the durable cache when its
-// result survived the crash, coalesced onto an identical recovered run, or
+// their original IDs, labels and cache keys) and every cell goes down the
+// admission ladder again — settled from the durable cache when its result
+// survived the crash, coalesced onto an identical recovered run, or
 // re-enqueued. Cells that all settle from the cache finalize the sweep
 // immediately, exactly as a live sweep would.
 func (s *Service) recoverSweep(sr sweepRecord) {
@@ -148,41 +148,21 @@ func (s *Service) recoverSweep(sr sweepRecord) {
 		return
 	}
 	now := s.clock()
-	s.submitSeq++
-	sw := &sweep{
-		id:            sr.ID,
-		name:          req.Sweep.Name,
-		seq:           s.submitSeq,
-		state:         StateRunning,
-		request:       sr.Request,
-		defaultStream: sr.DefaultStream,
-		reps:          req.Reps,
-		total:         len(cells),
-		compile:       engine.NewCompileSet(),
-		journaled:     true,
-		submitted:     sr.SubmittedAt,
+	if sr.SubmittedAt.IsZero() {
+		sr.SubmittedAt = now
 	}
-	if sw.submitted.IsZero() {
-		sw.submitted = now
-	}
-	s.sweeps[sw.id] = sw
-	s.sweepOrder = append(s.sweepOrder, sw.id)
-	if n, ok := parseSweepSeq(sr.ID); ok && n > s.nextSweepID {
-		s.nextSweepID = n
-	}
+	sw := s.newSweepLocked(sr, req, len(cells))
+	sw.journaled = true
+	s.nextSweepID = max(s.nextSweepID, idNumber(sr.ID, "s"))
 	s.sweepsRecovered++
-	for i, pc := range cells {
-		s.adoptCellLocked(sw, i, pc, now, true)
-	}
-	if sw.total == 0 {
-		s.finalizeSweepLocked(sw)
-	}
+	s.startSweepLocked(sw, cells, now, true)
 	s.log.Info("service: recovery: sweep re-adopted", "sweep", sw.id, "cells", sw.total, "settled", sw.settled)
 }
 
-// recoverJob re-adopts one journalled, unsettled submission: served from
-// the (disk) cache if its result is already durable, coalesced onto an
-// identical recovered run, or re-enqueued under its original ID.
+// recoverJob re-adopts one journalled, unsettled submission under its
+// original ID and sends it down the admission ladder again: served from the
+// (disk) cache if the run completed and only its settle record was lost,
+// coalesced onto an identical recovered run, or re-enqueued.
 func (s *Service) recoverJob(sr submitRecord) {
 	sc, err := engine.Parse(sr.Canonical)
 	if err != nil {
@@ -191,57 +171,27 @@ func (s *Service) recoverJob(sr submitRecord) {
 		s.log.Warn("service: recovery: job scenario no longer parses, dropping", "job", sr.ID, "err", err)
 		return
 	}
-	key := runKey(sr.Canonical, sr.Seed, sr.Reps)
 	now := s.clock()
-	s.submitSeq++
-	j := &job{
-		id:        sr.ID,
-		scenario:  sc,
-		canonical: sr.Canonical,
-		key:       key,
-		reps:      sr.Reps,
-		seed:      sr.Seed,
-		seq:       s.submitSeq,
-		submitted: sr.SubmittedAt,
-		journaled: true,
+	if sr.SubmittedAt.IsZero() {
+		sr.SubmittedAt = now
 	}
-	if j.submitted.IsZero() {
-		j.submitted = now
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.startTraceLocked(j, j.submitted)
+	pc := plannedCell{sc: sc, canonical: sr.Canonical, seed: sr.Seed, key: runKey(sr.Canonical, sr.Seed, sr.Reps)}
+	j := s.newJobLocked(sr.ID, pc, sr.Reps, sr.SubmittedAt)
+	j.journaled = true
 	j.trace.Add(obs.Span{Name: "recovered", Start: now, End: now})
-	if n, err := strconv.Atoi(strings.TrimPrefix(sr.ID, "j")); err == nil && n > s.nextID {
-		s.nextID = n
-	}
+	s.nextID = max(s.nextID, idNumber(sr.ID, "j"))
 	s.jobsRecovered++
+	cached, hit := s.lookupCacheLocked(pc.key)
+	s.admitLocked(j, cached, hit, now, true)
+	s.log.Info("service: recovery: job admitted", "job", j.id, "state", j.state, "cache_hit", j.cacheHit, "coalesced_with", coalescedID(j))
+}
 
-	if summary, ok := s.lookupCacheLocked(key); ok {
-		// The run completed and its summary was durably cached before the
-		// crash; only the settle record was lost. Settle it now, identically.
-		j.state = StateDone
-		j.cacheHit = true
-		j.started, j.finished = now, now
-		j.summary = summary
-		j.trace.Add(obs.Span{Name: "cache-hit", Start: now, End: now})
-		s.terminal++
-		s.log.Info("service: recovery: job settled from the durable cache", "job", j.id)
-		return
-	}
-	if leader, ok := s.inflight[key]; ok {
-		j.state = StateQueued
-		j.leader = leader
-		leader.followers = append(leader.followers, j)
-		j.trace.Add(obs.Span{Name: "coalesced", Detail: "leader=" + leader.id, Start: now, End: now})
-		s.log.Info("service: recovery: job coalesced onto recovered run", "job", j.id, "leader", leader.id)
-		return
-	}
-	j.state = StateQueued
-	s.queue = append(s.queue, j)
-	s.inflight[key] = j
-	s.recoveredKeys = append(s.recoveredKeys, key)
-	s.log.Info("service: recovery: job re-enqueued", "job", j.id, "reps", j.reps, "seed", j.seed)
+// idNumber parses the sequence number of a job ("j…") or sweep ("s…") ID,
+// so IDs minted after recovery never collide with recovered ones. Malformed
+// IDs read as 0.
+func idNumber(id, prefix string) int {
+	n, _ := strconv.Atoi(strings.TrimPrefix(id, prefix))
+	return n
 }
 
 // RecoveredKeys lists the run keys of jobs re-adopted into the queue at
@@ -253,6 +203,24 @@ func (s *Service) RecoveredKeys() []string {
 	return append([]string(nil), s.recoveredKeys...)
 }
 
+// ledgerRecord renders a job's recSubmit record, both for its append at
+// submission and for compaction snapshots.
+func (j *job) ledgerRecord() (store.Record, error) {
+	payload, err := json.Marshal(submitRecord{
+		ID: j.id, Canonical: j.canonical, Reps: j.reps, Seed: j.seed, SubmittedAt: j.submitted,
+	})
+	return store.Record{Type: recSubmit, Payload: payload}, err
+}
+
+// ledgerRecord renders a sweep's recSweepSubmit record, both for its append
+// at submission and for compaction snapshots.
+func (sw *sweep) ledgerRecord() (store.Record, error) {
+	payload, err := json.Marshal(sweepRecord{
+		ID: sw.id, Request: sw.request, DefaultStream: sw.defaultStream, SubmittedAt: sw.submitted,
+	})
+	return store.Record{Type: recSweepSubmit, Payload: payload}, err
+}
+
 // journalSubmitLocked durably records an accepted leader job. An append
 // failure is surfaced to the submitter — acknowledging a run the ledger
 // cannot replay would break the durability contract. Callers hold the mutex.
@@ -260,41 +228,12 @@ func (s *Service) journalSubmitLocked(j *job) error {
 	if s.journal == nil {
 		return nil
 	}
-	payload, err := json.Marshal(submitRecord{
-		ID: j.id, Canonical: j.canonical, Reps: j.reps, Seed: j.seed, SubmittedAt: j.submitted,
-	})
-	if err != nil {
-		return err
-	}
-	if err := s.journal.Append(store.Record{Type: recSubmit, Payload: payload}); err != nil {
-		return err
-	}
-	j.journaled = true
-	return nil
-}
-
-// journalSettleLocked records a client-visible terminal transition of a
-// journalled job, then compacts the ledger if it has grown past the
-// threshold. Settle-record loss is harmless — the run would be re-adopted
-// and served from the durable cache — so failures are logged, not fatal.
-// Callers hold the mutex.
-func (s *Service) journalSettleLocked(j *job) {
-	if s.journal == nil || !j.journaled {
-		return
-	}
-	payload, err := json.Marshal(settleRecord{ID: j.id})
+	rec, err := j.ledgerRecord()
 	if err == nil {
-		err = s.journal.Append(store.Record{Type: recSettle, Payload: payload})
+		err = s.journal.Append(rec)
 	}
-	if err != nil {
-		s.log.Warn("service: journal settle failed", "job", j.id, "err", err)
-		return
-	}
-	if s.journal.Size() > journalCompactBytes {
-		if err := s.compactLedgerLocked(); err != nil {
-			s.log.Warn("service: journal compaction failed", "err", err)
-		}
-	}
+	j.journaled = err == nil
+	return err
 }
 
 // journalSweepSubmitLocked durably records an accepted sweep. One fsync'd
@@ -305,33 +244,30 @@ func (s *Service) journalSweepSubmitLocked(sw *sweep) error {
 	if s.journal == nil {
 		return nil
 	}
-	payload, err := json.Marshal(sweepRecord{
-		ID: sw.id, Request: sw.request, DefaultStream: sw.defaultStream, SubmittedAt: sw.submitted,
-	})
-	if err != nil {
-		return err
+	rec, err := sw.ledgerRecord()
+	if err == nil {
+		err = s.journal.Append(rec)
 	}
-	if err := s.journal.Append(store.Record{Type: recSweepSubmit, Payload: payload}); err != nil {
-		return err
-	}
-	sw.journaled = true
-	return nil
+	sw.journaled = err == nil
+	return err
 }
 
-// journalSweepSettleLocked records a sweep's terminal transition. Like job
-// settles, loss is harmless — the sweep would be re-adopted and its cells
-// settled from the durable cache — so failures are logged, not fatal.
-// Callers hold the mutex.
-func (s *Service) journalSweepSettleLocked(sw *sweep) {
-	if s.journal == nil || !sw.journaled {
+// journalSettleLocked records a client-visible terminal transition of a
+// journalled job or sweep (unjournalled ones have nothing to settle), then
+// compacts the ledger if it has grown past the threshold. Settle-record
+// loss is harmless — the run or sweep would be re-adopted and served from
+// the durable cache — so failures are logged, not fatal. Callers hold the
+// mutex.
+func (s *Service) journalSettleLocked(id string, journaled bool) {
+	if s.journal == nil || !journaled {
 		return
 	}
-	payload, err := json.Marshal(settleRecord{ID: sw.id})
+	payload, err := json.Marshal(settleRecord{ID: id})
 	if err == nil {
 		err = s.journal.Append(store.Record{Type: recSettle, Payload: payload})
 	}
 	if err != nil {
-		s.log.Warn("service: journal settle failed", "sweep", sw.id, "err", err)
+		s.log.Warn("service: journal settle failed", "id", id, "err", err)
 		return
 	}
 	if s.journal.Size() > journalCompactBytes {
@@ -360,26 +296,22 @@ func (s *Service) compactLedgerLocked() error {
 		if !j.journaled || j.state.Terminal() {
 			continue
 		}
-		payload, err := json.Marshal(submitRecord{
-			ID: j.id, Canonical: j.canonical, Reps: j.reps, Seed: j.seed, SubmittedAt: j.submitted,
-		})
+		rec, err := j.ledgerRecord()
 		if err != nil {
 			return err
 		}
-		live = append(live, liveRecord{seq: j.seq, rec: store.Record{Type: recSubmit, Payload: payload}})
+		live = append(live, liveRecord{seq: j.seq, rec: rec})
 	}
 	for _, id := range s.sweepOrder {
 		sw := s.sweeps[id]
 		if !sw.journaled || sw.state.Terminal() {
 			continue
 		}
-		payload, err := json.Marshal(sweepRecord{
-			ID: sw.id, Request: sw.request, DefaultStream: sw.defaultStream, SubmittedAt: sw.submitted,
-		})
+		rec, err := sw.ledgerRecord()
 		if err != nil {
 			return err
 		}
-		live = append(live, liveRecord{seq: sw.seq, rec: store.Record{Type: recSweepSubmit, Payload: payload}})
+		live = append(live, liveRecord{seq: sw.seq, rec: rec})
 	}
 	sort.Slice(live, func(i, k int) bool { return live[i].seq < live[k].seq })
 	records := make([]store.Record, 0, len(live))

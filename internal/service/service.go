@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dynamicrumor/internal/buildinfo"
-	"dynamicrumor/internal/engine"
 	"dynamicrumor/internal/obs"
 	"dynamicrumor/internal/runner"
 	"dynamicrumor/internal/sim"
@@ -111,10 +110,9 @@ type Service struct {
 	log           *slog.Logger
 	logRequests   bool
 
-	// Observability (see internal/obs): the shared histogram registry, the
-	// bounded flight recorder of run timelines, and the hot-path histograms.
+	// Observability (see internal/obs): the shared histogram registry and the
+	// hot-path histograms. Run timelines live on the job records.
 	reg           *obs.Registry
-	rec           *obs.Recorder
 	histQueueWait *obs.Histogram
 	histRun       *obs.Histogram
 	histCacheGet  *obs.Histogram
@@ -222,7 +220,6 @@ func New(cfg Config) (*Service, error) {
 	// Register every histogram at startup — including the lease round-trip
 	// one the coordinator records into when it shares this registry — so the
 	// /metrics document exposes the full set in every deployment mode.
-	s.rec = obs.NewRecorder(0)
 	s.histQueueWait = s.reg.Histogram("queue_wait", "Seconds jobs spent queued before dispatch.")
 	s.histRun = s.reg.Histogram("run_duration", "Seconds dispatched jobs spent running to done.")
 	s.histCacheGet = s.reg.Histogram("cache_lookup", "Seconds spent in result cache lookups (memory, then disk).")
@@ -287,74 +284,126 @@ func (s *Service) Close() {
 	}
 }
 
-// submit validates a submission and either answers it from the cache or
-// enqueues a job. The returned view is rendered atomically with the
-// enqueue, so a submit response always reads "queued" (or "done" for a
-// cache hit) even if the dispatcher picks the job up immediately. The
-// client identifies the submitter for rate limiting; cache hits and
-// coalesced submissions are served without consulting the limiter.
-func (s *Service) submit(sc engine.Scenario, canonical []byte, reps int, seed uint64, client string) (JobView, error) {
-	key := runKey(canonical, seed, reps)
+// submit admits one planned run through admitLocked. Only new work —
+// neither cached nor in flight — is checked by admissibleLocked and
+// journalled, so cache hits and coalesced submissions are served without
+// consulting backend readiness, queue room or the client's rate limit. A
+// refused submission leaves no trace: its job ID goes to the next accepted
+// one. The returned view is rendered atomically with the admission, so a
+// submit response always reads "queued" (or "done" for a cache hit) even if
+// the dispatcher picks the job up immediately.
+func (s *Service) submit(pc plannedCell, reps int, client string) (JobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return JobView{}, errShutdown
 	}
 	now := s.clock()
-	if summary, ok := s.lookupCacheLocked(key); ok {
-		s.hits++
-		j := s.newJobLocked(sc, canonical, key, reps, seed, now)
+	cached, hit := s.lookupCacheLocked(pc.key)
+	j := s.newJobLocked(fmt.Sprintf("j%08d", s.nextID+1), pc, reps, now)
+	if !hit && s.inflight[pc.key] == nil {
+		if err := s.admissibleLocked(1, client, now); err != nil {
+			return JobView{}, err
+		}
+		// A run the ledger cannot replay is refused rather than acknowledged:
+		// a restart would silently forget it.
+		if err := s.journalSubmitLocked(j); err != nil {
+			return JobView{}, fmt.Errorf("journal submission: %w", err)
+		}
+	}
+	s.nextID++
+	s.admitLocked(j, cached, hit, now, false)
+	return j.view(), nil
+}
+
+// admissibleLocked checks that need new runs may be queued: the backend is
+// ready, the queue has room for all of them, and the client's rate limit
+// admits the submission. Cache hits and coalesced work never need it.
+// Callers hold the mutex.
+func (s *Service) admissibleLocked(need int, client string, now time.Time) error {
+	if rc, ok := s.backend.(readyChecker); ok {
+		if err := rc.Ready(); err != nil {
+			return err
+		}
+	}
+	if len(s.queue)+need > s.queueLimit {
+		return errQueueFull
+	}
+	return s.allowLocked(client, now)
+}
+
+// newJobLocked builds the record of one planned run — a submission, a sweep
+// cell or a job recovered from the ledger — and opens its trace. Trace IDs
+// are deterministic ("tr-" plus the job ID), so golden responses stay stable
+// and a cluster worker's spans stitch into the same timeline by ID alone.
+// admitLocked registers the job. Callers hold the mutex.
+func (s *Service) newJobLocked(id string, pc plannedCell, reps int, submitted time.Time) *job {
+	s.submitSeq++
+	j := &job{
+		id:        id,
+		seq:       s.submitSeq,
+		scenario:  pc.sc,
+		canonical: pc.canonical,
+		key:       pc.key,
+		reps:      reps,
+		seed:      pc.seed,
+		cellLabel: pc.label,
+		submitted: submitted,
+		trace:     obs.NewTrace("tr-"+id, id),
+	}
+	j.trace.Add(obs.Span{
+		Name:   "submitted",
+		Detail: fmt.Sprintf("reps=%d seed=%d", reps, pc.seed),
+		Start:  submitted,
+		End:    submitted,
+	})
+	return j
+}
+
+// admitLocked registers a job and sends it down the admission ladder that
+// POST /v1/runs, sweep cells and recovered jobs share. A cached summary
+// (the caller's lookup: cached, hit) settles the job at once; an identical
+// in-flight run takes it as a follower — the engine would compute
+// bit-identical results, so it consumes no queue slot and no worker budget
+// and settles with its leader; anything else is queued as a new leader.
+// Recovered entries leave the client-facing hit, miss and coalesce counters
+// alone, and the keys they queue are listed by RecoveredKeys. Callers hold
+// the mutex.
+func (s *Service) admitLocked(j *job, cached json.RawMessage, hit bool, now time.Time, recovered bool) {
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	leader := s.inflight[j.key]
+	switch {
+	case hit:
+		if !recovered {
+			s.hits++
+		}
 		j.state = StateDone
 		j.cacheHit = true
 		j.started, j.finished = now, now
-		j.summary = summary
+		j.summary = cached
 		j.trace.Add(obs.Span{Name: "cache-hit", Start: now, End: now})
 		s.markTerminalLocked(j)
 		s.pruneHistoryLocked()
-		return j.view(), nil
-	}
-	// Coalesce onto an identical in-flight run: the engine would compute
-	// bit-identical results, so the follower just rides the leader and
-	// settles with it, consuming no queue slot and no worker budget.
-	if leader, ok := s.inflight[key]; ok {
-		s.coalesced++
-		j := s.newJobLocked(sc, canonical, key, reps, seed, now)
+	case leader != nil:
+		if !recovered {
+			s.coalesced++
+		}
 		j.state = StateQueued
 		j.leader = leader
 		leader.followers = append(leader.followers, j)
 		j.trace.Add(obs.Span{Name: "coalesced", Detail: "leader=" + leader.id, Start: now, End: now})
-		return j.view(), nil
-	}
-	// Only submissions that need new work consult backend readiness: cache
-	// hits and coalesced followers are served above even when the backend
-	// has nothing to execute on.
-	if rc, ok := s.backend.(readyChecker); ok {
-		if err := rc.Ready(); err != nil {
-			return JobView{}, err
+	default:
+		if recovered {
+			s.recoveredKeys = append(s.recoveredKeys, j.key)
+		} else {
+			s.misses++
 		}
+		j.state = StateQueued
+		s.queue = append(s.queue, j)
+		s.inflight[j.key] = j
+		s.cond.Signal()
 	}
-	if len(s.queue) >= s.queueLimit {
-		return JobView{}, errQueueFull
-	}
-	if err := s.allowLocked(client, now); err != nil {
-		return JobView{}, err
-	}
-	s.misses++
-	j := s.newJobLocked(sc, canonical, key, reps, seed, now)
-	j.state = StateQueued
-	if err := s.journalSubmitLocked(j); err != nil {
-		// The ledger could not durably record the job; un-register it and
-		// refuse the submission rather than acknowledge a run a restart
-		// would silently forget.
-		delete(s.jobs, j.id)
-		s.order = s.order[:len(s.order)-1]
-		s.nextID--
-		return JobView{}, fmt.Errorf("journal submission: %w", err)
-	}
-	s.queue = append(s.queue, j)
-	s.inflight[key] = j
-	s.cond.Signal()
-	return j.view(), nil
 }
 
 // lookupCacheLocked consults the in-memory result cache and, on a miss, the
@@ -415,40 +464,6 @@ func (s *Service) markTerminalLocked(j *job) {
 		s.terminal++
 	}
 	s.noteCellSettledLocked(j)
-}
-
-// newJobLocked allocates and registers a job record. Callers hold the mutex.
-func (s *Service) newJobLocked(sc engine.Scenario, canonical []byte, key string, reps int, seed uint64, now time.Time) *job {
-	s.nextID++
-	s.submitSeq++
-	j := &job{
-		id:        fmt.Sprintf("j%08d", s.nextID),
-		seq:       s.submitSeq,
-		scenario:  sc,
-		canonical: canonical,
-		key:       key,
-		reps:      reps,
-		seed:      seed,
-		submitted: now,
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.startTraceLocked(j, now)
-	return j
-}
-
-// startTraceLocked opens the job's flight-recorder timeline. Trace IDs are
-// deterministic — "tr-" plus the job ID — so golden responses stay stable
-// and a cluster worker's spans stitch into the same timeline by ID alone.
-// Callers hold the mutex.
-func (s *Service) startTraceLocked(j *job, now time.Time) {
-	j.trace = s.rec.Start("tr-"+j.id, j.id)
-	j.trace.Add(obs.Span{
-		Name:   "submitted",
-		Detail: fmt.Sprintf("reps=%d seed=%d", j.reps, j.seed),
-		Start:  now,
-		End:    now,
-	})
 }
 
 // grantWorkers decides a dispatched job's share of the worker budget: every
@@ -563,7 +578,7 @@ func (s *Service) runJob(j *job, ctx context.Context, cancel context.CancelFunc,
 		// Shutdown cancellations are not settlements: a gracefully stopped
 		// daemon leaves the same ledger a crashed one would, and both resume
 		// the run on restart.
-		s.journalSettleLocked(j)
+		s.journalSettleLocked(j.id, j.journaled)
 	}
 	s.settleFollowersLocked(j)
 	s.pruneHistoryLocked()
@@ -595,7 +610,7 @@ func (s *Service) settleFollowersLocked(leader *job) {
 			f.started, f.finished = now, now
 			s.markTerminalLocked(f)
 			// Recovered followers carry their own ledger entries; settle them.
-			s.journalSettleLocked(f)
+			s.journalSettleLocked(f.id, f.journaled)
 		}
 	case StateCancelled:
 		if s.closed {
@@ -663,7 +678,7 @@ func (s *Service) cancelJob(id string) (JobView, error) {
 		j.errMsg = "cancelled before start"
 		j.finished = s.clock()
 		s.markTerminalLocked(j)
-		s.journalSettleLocked(j)
+		s.journalSettleLocked(j.id, j.journaled)
 		s.settleFollowersLocked(j)
 		s.pruneHistoryLocked()
 		return j.view(), nil
@@ -944,8 +959,7 @@ func (s *Service) health() HealthResponse {
 }
 
 // traceView fetches one run's flight-recorder timeline by job ID. The trace
-// lives on the job record, so it is available as long as the job is — the
-// recorder's FIFO bound only governs lookups by bare trace ID.
+// lives on the job record, so it is available as long as the job is.
 func (s *Service) traceView(id string) (obs.TraceView, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]

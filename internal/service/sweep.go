@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dynamicrumor/internal/engine"
-	"dynamicrumor/internal/obs"
 )
 
 // The sweep subsystem: one POST /v1/sweeps submission declares a parameter
@@ -72,17 +71,6 @@ type SweepRequest struct {
 	Seed uint64 `json:"seed"`
 }
 
-// plannedCell is one grid point the planner produced: a fully validated
-// scenario plus the exact cache key a standalone POST /v1/runs of the same
-// cell would compute.
-type plannedCell struct {
-	label     string
-	sc        engine.Scenario
-	canonical []byte
-	seed      uint64
-	key       string
-}
-
 // sweepAxis is one dimension of the planner's odometer.
 type sweepAxis struct {
 	key    string
@@ -106,10 +94,8 @@ func planSweep(req SweepRequest, defaultStream int) ([]plannedCell, error) {
 			return nil, errors.New("trailing content after the base scenario object")
 		}
 	}
-	// The service reports summaries, never traces, and cell results must hit
-	// the same cache entries standalone runs would.
+	// The label never influences execution; planRun strips trace recording.
 	base.Name = ""
-	base.Trace = false
 	family := spec.Family
 	if family == "" {
 		family = base.Network.Family
@@ -184,30 +170,20 @@ func planSweep(req SweepRequest, defaultStream int) ([]plannedCell, error) {
 					sc.Network.Params = params
 					sc.Protocol = engine.ProtocolKind(proto)
 					sc.Stream = stream
-					// The configured default stream discipline applies to async
-					// cells that do not pin one, before canonicalization —
-					// exactly as POST /v1/runs applies it — so cell cache keys
-					// match standalone submissions under the same daemon.
-					if defaultStream != 0 && sc.Stream == 0 && sc.Protocol.Normalize() == engine.ProtocolAsync {
-						sc.Stream = defaultStream
-					}
-					parts = append(parts, "protocol="+string(sc.Protocol.Normalize()))
-					if sc.Stream != 0 {
-						parts = append(parts, "stream="+strconv.Itoa(sc.Stream))
+					// Cells are planned exactly as POST /v1/runs plans a run,
+					// so their cache keys match standalone submissions under
+					// the same daemon.
+					pc, err := planRun(sc, seed, req.Reps, defaultStream)
+					parts = append(parts, "protocol="+string(pc.sc.Protocol.Normalize()))
+					if pc.sc.Stream != 0 {
+						parts = append(parts, "stream="+strconv.Itoa(pc.sc.Stream))
 					}
 					parts = append(parts, "seed="+strconv.FormatUint(seed, 10))
-					label := strings.Join(parts, ",")
-					canonical, err := engine.Canonical(sc)
+					pc.label = strings.Join(parts, ",")
 					if err != nil {
-						return nil, fmt.Errorf("cell %s: %w", label, err)
+						return nil, fmt.Errorf("cell %s: %w", pc.label, err)
 					}
-					cells = append(cells, plannedCell{
-						label:     label,
-						sc:        sc,
-						canonical: canonical,
-						seed:      seed,
-						key:       runKey(canonical, seed, req.Reps),
-					})
+					cells = append(cells, pc)
 				}
 			}
 		}
@@ -333,11 +309,12 @@ type SweepsResponse struct {
 	Sweeps []SweepView `json:"sweeps"`
 }
 
-// submitSweep registers a planned sweep and adopts its cells: each cell is
-// served from the result cache, coalesced onto an identical in-flight run,
-// or enqueued as an ordinary FIFO job — the same admission path single
-// submissions take, so scheduling, budget, coalescing and durability
-// behave identically for grid work.
+// submitSweep registers a planned sweep and admits its cells through the
+// admission ladder single submissions take, so scheduling, budget,
+// coalescing and durability behave identically for grid work. Only cells
+// that need new work count against admissibleLocked: cached and coalesced
+// cells are served regardless of backend readiness, queue room or rate
+// limits, exactly as cache-hit single submissions are.
 func (s *Service) submitSweep(req SweepRequest, cells []plannedCell, client string) (SweepView, error) {
 	reqDoc, err := json.Marshal(req)
 	if err != nil {
@@ -349,9 +326,6 @@ func (s *Service) submitSweep(req SweepRequest, cells []plannedCell, client stri
 		return SweepView{}, errShutdown
 	}
 	now := s.clock()
-	// Count the cells that need new work: cached and coalesced cells are
-	// served regardless of backend readiness, queue capacity or rate limits,
-	// exactly as cache-hit single submissions are.
 	need := 0
 	seen := make(map[string]bool, len(cells))
 	for _, pc := range cells {
@@ -368,101 +342,56 @@ func (s *Service) submitSweep(req SweepRequest, cells []plannedCell, client stri
 		need++
 	}
 	if need > 0 {
-		if rc, ok := s.backend.(readyChecker); ok {
-			if err := rc.Ready(); err != nil {
-				return SweepView{}, err
-			}
-		}
-		if len(s.queue)+need > s.queueLimit {
-			return SweepView{}, errQueueFull
-		}
-		if err := s.allowLocked(client, now); err != nil {
+		if err := s.admissibleLocked(need, client, now); err != nil {
 			return SweepView{}, err
 		}
 	}
+	sw := s.newSweepLocked(sweepRecord{
+		ID: fmt.Sprintf("s%08d", s.nextSweepID+1), Request: reqDoc, DefaultStream: s.defaultStream, SubmittedAt: now,
+	}, req, len(cells))
+	if err := s.journalSweepSubmitLocked(sw); err != nil {
+		return SweepView{}, fmt.Errorf("journal sweep submission: %w", err)
+	}
 	s.nextSweepID++
+	s.sweepsSubmitted++
+	s.startSweepLocked(sw, cells, now, false)
+	return s.sweepViewLocked(sw, false), nil
+}
+
+// newSweepLocked builds the record of a sweep of total cells from its ledger
+// record, whether just submitted or recovered. Callers hold the mutex.
+func (s *Service) newSweepLocked(sr sweepRecord, req SweepRequest, total int) *sweep {
 	s.submitSeq++
-	sw := &sweep{
-		id:            fmt.Sprintf("s%08d", s.nextSweepID),
+	return &sweep{
+		id:            sr.ID,
 		name:          req.Sweep.Name,
 		seq:           s.submitSeq,
 		state:         StateRunning,
-		request:       reqDoc,
-		defaultStream: s.defaultStream,
+		request:       sr.Request,
+		defaultStream: sr.DefaultStream,
 		reps:          req.Reps,
-		total:         len(cells),
+		total:         total,
 		compile:       engine.NewCompileSet(),
-		submitted:     now,
+		submitted:     sr.SubmittedAt,
 	}
-	if err := s.journalSweepSubmitLocked(sw); err != nil {
-		s.nextSweepID--
-		s.submitSeq--
-		return SweepView{}, fmt.Errorf("journal sweep submission: %w", err)
-	}
+}
+
+// startSweepLocked registers a sweep and admits its cells in planning order,
+// each an ordinary job owned by the sweep. A sweep without cells finalizes
+// at once. Callers hold the mutex.
+func (s *Service) startSweepLocked(sw *sweep, cells []plannedCell, now time.Time, recovered bool) {
 	s.sweeps[sw.id] = sw
 	s.sweepOrder = append(s.sweepOrder, sw.id)
-	s.sweepsSubmitted++
 	for i, pc := range cells {
-		s.adoptCellLocked(sw, i, pc, now, false)
+		j := s.newJobLocked(fmt.Sprintf("%s.c%03d", sw.id, i), pc, sw.reps, now)
+		j.sweep, j.compile = sw, sw.compile
+		sw.cells = append(sw.cells, j)
+		cached, hit := s.lookupCacheLocked(pc.key)
+		s.admitLocked(j, cached, hit, now, recovered)
 	}
 	if sw.total == 0 {
 		s.finalizeSweepLocked(sw)
 	}
-	return s.sweepViewLocked(sw, false), nil
-}
-
-// adoptCellLocked registers one planned cell as a job owned by the sweep and
-// routes it through the standard admission ladder: cache hit, coalesce, or
-// enqueue. Recovery re-adoption skips the hit/miss counters so restart does
-// not inflate client-facing cache statistics. Callers hold the mutex.
-func (s *Service) adoptCellLocked(sw *sweep, idx int, pc plannedCell, now time.Time, recovered bool) {
-	j := &job{
-		id:        fmt.Sprintf("%s.c%03d", sw.id, idx),
-		scenario:  pc.sc,
-		canonical: pc.canonical,
-		key:       pc.key,
-		reps:      sw.reps,
-		seed:      pc.seed,
-		submitted: now,
-		sweep:     sw,
-		cellLabel: pc.label,
-		compile:   sw.compile,
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	sw.cells = append(sw.cells, j)
-	s.startTraceLocked(j, now)
-	if summary, ok := s.lookupCacheLocked(pc.key); ok {
-		if !recovered {
-			s.hits++
-		}
-		j.state = StateDone
-		j.cacheHit = true
-		j.started, j.finished = now, now
-		j.summary = summary
-		j.trace.Add(obs.Span{Name: "cache-hit", Start: now, End: now})
-		s.markTerminalLocked(j)
-		return
-	}
-	if leader, ok := s.inflight[pc.key]; ok {
-		if !recovered {
-			s.coalesced++
-		}
-		j.state = StateQueued
-		j.leader = leader
-		leader.followers = append(leader.followers, j)
-		j.trace.Add(obs.Span{Name: "coalesced", Detail: "leader=" + leader.id, Start: now, End: now})
-		return
-	}
-	if !recovered {
-		s.misses++
-	} else {
-		s.recoveredKeys = append(s.recoveredKeys, pc.key)
-	}
-	j.state = StateQueued
-	s.queue = append(s.queue, j)
-	s.inflight[pc.key] = j
-	s.cond.Signal()
 }
 
 // noteCellSettledLocked records one cell's terminal transition on its sweep:
@@ -521,7 +450,7 @@ func (s *Service) finalizeSweepLocked(sw *sweep) {
 		// Shutdown cancellations are not settlements — the same contract
 		// single runs honor — so a stopped daemon resumes the sweep's
 		// unfinished cells on restart.
-		s.journalSweepSettleLocked(sw)
+		s.journalSettleLocked(sw.id, sw.journaled)
 	}
 	s.appendSweepEventLocked(sw, "sweep", s.sweepViewLocked(sw, false))
 	s.pruneSweepsLocked()
@@ -742,16 +671,6 @@ type SweepStats struct {
 	Cancelled int `json:"cancelled"`
 	// Recovered counts sweeps re-adopted from the run ledger at startup.
 	Recovered int64 `json:"recovered"`
-}
-
-// parseSweepSeq extracts the numeric suffix of a sweep ID for nextSweepID
-// bookkeeping during recovery.
-func parseSweepSeq(id string) (int, bool) {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "s"))
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }
 
 // errUnknownSweep is the sweep analogue of errUnknownJob.

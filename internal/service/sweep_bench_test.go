@@ -8,11 +8,11 @@ import (
 	"dynamicrumor/internal/engine"
 )
 
-// The sweep-vs-separate anchor pair (tracked in BENCH_*.json, see the
-// Makefile's bench-json target): the same deterministic 24-cell grid —
-// clique n ∈ {1024, 2048} × 12 seeds, async, 1 rep per cell — executed once
-// as a native sweep and once as 24 separate submissions against the same
-// service. The native path plans the grid in one request and compiles every
+// The sweep-vs-separate anchor pair (recorded in BENCH_*.json; the
+// Makefile's bench and bench-smoke targets run it): the same deterministic
+// 24-cell grid — clique n ∈ {1024, 2048} × 12 seeds, async, 1 rep per cell —
+// executed once as a native sweep and once as 24 separate submissions
+// against the same service. The native path plans the grid in one request and compiles every
 // cell through one engine.CompileSet, so the n=1024 and n=2048 cliques are
 // built once each and read concurrently by all 24 cells; the separate path
 // parses, canonicalizes, admits, and compiles each submission on its own,
@@ -142,11 +142,11 @@ func BenchmarkSweepSeparate24Cells(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			canonical, err := engine.Canonical(sc)
+			pc, err := planRun(sc, seeds[k], req.Reps, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
-			view, err := svc.submit(sc, canonical, req.Reps, seeds[k], "")
+			view, err := svc.submit(pc, req.Reps, "")
 			if err != nil {
 				b.Fatal(err)
 			}
