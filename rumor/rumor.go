@@ -54,7 +54,7 @@ type (
 	Result = sim.Result
 	// TracePoint is one entry of a Result trace.
 	TracePoint = sim.TracePoint
-	// AsyncOptions configures AsyncProtocol and SpreadAsyncNaive.
+	// AsyncOptions configures AsyncProtocol.
 	AsyncOptions = sim.AsyncOptions
 	// SyncOptions configures SyncProtocol and FloodingProtocol.
 	SyncOptions = sim.SyncOptions
@@ -186,12 +186,6 @@ func NewEdgeMarkovian(n int, p, q float64, initial *Graph, rng *RNG) (Network, e
 // baseline.
 func NewMobileAgents(agents, side int, rng *RNG) (Network, error) {
 	return dynamic.NewMobileAgents(agents, side, rng)
-}
-
-// SpreadAsyncNaive runs the tick-by-tick reference simulator of the
-// asynchronous process (slow; intended for validating AsyncProtocol).
-func SpreadAsyncNaive(net Network, opts AsyncOptions, rng *RNG) (*Result, error) {
-	return sim.RunAsyncNaive(net, opts, rng)
 }
 
 // Graph parameters.

@@ -119,9 +119,6 @@ func TestSpreadVariantsOnPublicAPI(t *testing.T) {
 	if _, err := (rumor.FloodingProtocol{Opts: rumor.SyncOptions{Start: 1}}).Run(net, rng); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rumor.SpreadAsyncNaive(net, rumor.AsyncOptions{Start: 1}, rng); err != nil {
-		t.Fatal(err)
-	}
 	res, err := rumor.AsyncProtocol{Opts: rumor.AsyncOptions{Start: 1, Mode: rumor.PushOnly}}.Run(net, rng)
 	if err != nil || !res.Completed {
 		t.Fatalf("push-only on star failed: %v %+v", err, res)
