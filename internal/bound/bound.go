@@ -8,7 +8,6 @@
 //   - Corollary 1.6: min{T(G,c), T_abs(G)}.
 //   - The Giakkoupis–Sauerwald–Stauffer bound for the synchronous algorithm,
 //     which carries the M(G) = max_u Δ_u/δ_u factor (Section 1.2).
-//   - The static-network O(log n / Φ) bound of Chierichetti et al.
 package bound
 
 import (
@@ -180,22 +179,6 @@ func GiakkoupisSync(profile ProfileFunc, n int, maxDegreeRatio, factor float64, 
 		}
 	}
 	return 0, ErrNotReached
-}
-
-// StaticAsync returns the O(log n / Φ) bound of Chierichetti et al. for the
-// push-pull algorithm on a static network with conductance phi, with the
-// given leading constant.
-func StaticAsync(n int, phi, constant float64) (float64, error) {
-	if phi <= 0 {
-		return 0, errors.New("bound: static bound needs positive conductance")
-	}
-	if constant <= 0 {
-		constant = 1
-	}
-	if n < 2 {
-		return 0, nil
-	}
-	return constant * math.Log(float64(n)) / phi, nil
 }
 
 // ConstantProfile returns a ProfileFunc that reports the same profile at

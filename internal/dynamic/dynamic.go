@@ -188,15 +188,3 @@ func (r *rebuilder) flip() *graph.Graph {
 	r.graphs[r.cur] = r.b.BuildInto(r.graphs[r.cur])
 	return r.graphs[r.cur]
 }
-
-// CountInformed returns the number of true entries; a small helper shared by
-// the adaptive constructions.
-func CountInformed(informed []bool) int {
-	count := 0
-	for _, b := range informed {
-		if b {
-			count++
-		}
-	}
-	return count
-}

@@ -84,15 +84,6 @@ func TestFuncAdapter(t *testing.T) {
 	}
 }
 
-func TestCountInformed(t *testing.T) {
-	if got := CountInformed([]bool{true, false, true, true}); got != 3 {
-		t.Fatalf("CountInformed = %d, want 3", got)
-	}
-	if got := CountInformed(nil); got != 0 {
-		t.Fatalf("CountInformed(nil) = %d", got)
-	}
-}
-
 func TestGNRhoConstruction(t *testing.T) {
 	rng := xrand.New(61)
 	net, err := NewGNRho(256, 0.25, 2, rng)

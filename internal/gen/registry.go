@@ -212,12 +212,6 @@ func AllowedKeys(name string) ([]string, bool) {
 	return fam.Keys, ok
 }
 
-// IsFamily reports whether name is a registered graph family.
-func IsFamily(name string) bool {
-	_, ok := families[name]
-	return ok
-}
-
 // Families returns the registered family names in sorted order.
 func Families() []string {
 	out := make([]string, 0, len(families))
