@@ -3,13 +3,13 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet fmt-check bench bench-json bench-smoke bench-service test-equivalence smoke-service smoke-cluster smoke-chaos smoke-sweep serve check clean
+.PHONY: all build test test-short test-race vet fmt-check bench bench-smoke test-equivalence smoke-service smoke-cluster smoke-chaos smoke-sweep serve check clean
 
-# The anchor benchmarks tracked across PRs (see BENCH_*.json and
-# EXPERIMENTS.md): the Monte-Carlo engine fan-out (batch + streaming,
-# including both async stream disciplines via BenchmarkMonteCarloStream),
-# the two hot-path anchors of the allocation-free rebuild work, and the
-# frontier-based flooding scan.
+# The anchor benchmarks, whose history up to 2026-08-08 the committed
+# BENCH_*.json files record (see EXPERIMENTS.md): the Monte-Carlo engine
+# fan-out (batch + streaming, including both async stream disciplines via
+# BenchmarkMonteCarloStream), the two hot-path anchors of the
+# allocation-free rebuild work, and the frontier-based flooding scan.
 BENCH_ANCHORS := BenchmarkMonteCarlo|BenchmarkGNRhoConstructionN2048|BenchmarkAsyncDynamicStarN5000|BenchmarkRunReduce1e5Reps|BenchmarkFloodingLargeN
 
 # The service-layer anchor pair: one native 24-cell sweep against the same
@@ -55,24 +55,6 @@ bench:
 	$(GO) test -run NONE -bench 'Async|Sync|Flooding|Conductance|GNRho' -benchmem .
 	$(GO) test -run NONE -bench '$(SERVICE_BENCH_ANCHORS)' -benchmem ./internal/service
 
-# bench-json runs the anchor benchmarks and records them as a dated JSON
-# data point, so the performance trajectory of the repo is a committed,
-# machine-readable series (BENCH_<date>.json). The delta_vs block inside the
-# new file compares it against the most recent committed point. A same-day
-# rerun gets a numeric suffix instead of overwriting history.
-# The service pair runs first: it is wall-clock heavy and, on small boxes,
-# measurably slower when scheduled right after the long engine bench run.
-bench-json:
-	$(GO) test -run NONE -bench '$(SERVICE_BENCH_ANCHORS)' -benchmem -benchtime=3x ./internal/service > bench.out.tmp
-	$(GO) test -run NONE -bench '$(BENCH_ANCHORS)' -benchmem -benchtime=2s . >> bench.out.tmp
-	@cat bench.out.tmp
-	@out=BENCH_$$(date -u +%Y-%m-%d).json; i=2; \
-	while [ -e "$$out" ]; do out=BENCH_$$(date -u +%Y-%m-%d).$$i.json; i=$$((i+1)); done; \
-	sh scripts/bench_to_json.sh < bench.out.tmp > bench.json.tmp; \
-	mv bench.json.tmp "$$out"; \
-	rm -f bench.out.tmp; \
-	echo "wrote $$out"
-
 # bench-smoke is the CI guard: one iteration of every anchor and of the
 # reproduction's timing benchmarks, so the benchmarks cannot rot even when
 # nobody is looking at their numbers.
@@ -80,12 +62,6 @@ bench-smoke:
 	$(GO) test -run NONE -bench '$(BENCH_ANCHORS)|$(EXPERIMENT_BENCHES)' -benchtime 1x -benchmem .
 	$(GO) test -run NONE -bench '$(KERNEL_BENCHES)|$(GRAPH_BENCHES)' -benchtime 1x -benchmem ./internal/diligence ./internal/spectral ./internal/graph
 	$(GO) test -run NONE -bench '$(SERVICE_BENCH_ANCHORS)' -benchtime 1x -benchmem ./internal/service
-
-# bench-service runs the service load harness: submission-latency
-# percentiles and a timed native sweep against a live rumord, recorded as a
-# dated BENCH_SERVICE_<date>.json data point (see scripts/service_load.sh).
-bench-service:
-	sh scripts/service_load.sh
 
 # test-equivalence is the tier-2 statistical gate: the v1-vs-v2 stream
 # equivalence suite (internal/statcheck, with the sim-level cross-validation)
