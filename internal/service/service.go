@@ -288,8 +288,8 @@ func (s *Service) Close() {
 // neither cached nor in flight — is checked by admissibleLocked and
 // journalled, so cache hits and coalesced submissions are served without
 // consulting backend readiness, queue room or the client's rate limit. A
-// refused submission leaves no trace: its job ID goes to the next accepted
-// one. The returned view is rendered atomically with the admission, so a
+// refused submission leaves no job record, and its job ID goes to the next
+// accepted one. The returned view is rendered atomically with the admission, so a
 // submit response always reads "queued" (or "done" for a cache hit) even if
 // the dispatcher picks the job up immediately.
 func (s *Service) submit(pc plannedCell, reps int, client string) (JobView, error) {
