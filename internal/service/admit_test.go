@@ -124,7 +124,7 @@ func TestAdmissionMatrix(t *testing.T) {
 	run := func(seed uint64) string {
 		return fmt.Sprintf(`{"scenario":%s,"reps":4,"seed":%d}`, scenario, seed)
 	}
-	key := func(seed uint64) plannedCell {
+	plan := func(seed uint64) plannedCell {
 		sc, err := engine.Parse([]byte(scenario))
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +162,7 @@ func TestAdmissionMatrix(t *testing.T) {
 	}
 	sv, _ := svc.sweepView(decodeSweep(t, body).ID)
 	for i, seed := range []uint64{1, 9, 3} {
-		if k := key(seed).key; sv.Cells[i].Key != k {
+		if k := plan(seed).key; sv.Cells[i].Key != k {
 			t.Fatalf("sweep cell %d key %s, want the standalone key %s", i, sv.Cells[i].Key, k)
 		}
 	}
@@ -194,7 +194,7 @@ func TestAdmissionMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, seed := range []uint64{9, 1, 2, 2} {
-		pc := key(seed)
+		pc := plan(seed)
 		rec, err := (&job{id: fmt.Sprintf("j%08d", i+1), canonical: pc.canonical, reps: 4, seed: seed, submitted: testClock()}).ledgerRecord()
 		if err == nil {
 			err = jr.Append(rec)
@@ -237,7 +237,7 @@ func TestAdmissionMatrix(t *testing.T) {
 	if m.Durability == nil || m.Durability.JobsRecovered != 4 || m.Sweeps == nil || m.Sweeps.Recovered != 1 {
 		t.Errorf("recovery counters: durability %+v, sweeps %+v; want 4 jobs and 1 sweep", m.Durability, m.Sweeps)
 	}
-	if got, want := svc.RecoveredKeys(), []string{key(9).key, key(2).key, key(3).key}; !slices.Equal(got, want) {
+	if got, want := svc.RecoveredKeys(), []string{plan(9).key, plan(2).key, plan(3).key}; !slices.Equal(got, want) {
 		t.Errorf("RecoveredKeys = %v, want the queued recovered runs' keys %v", got, want)
 	}
 }
