@@ -59,16 +59,80 @@ func TestJournalRefusalCountsNoMiss(t *testing.T) {
 	}
 }
 
-// heldBackend runs seed-1 runs at once and holds every other run until its
-// context ends, so a test can keep runs in flight for as long as it needs.
+// heldBackend runs seed-1 and seed-5 runs at once and holds every other run
+// until its context ends, so a test can keep runs in flight for as long as
+// it needs.
 type heldBackend struct{}
 
 func (heldBackend) Run(ctx context.Context, run BackendRun) (BackendResult, error) {
-	if run.Seed == 1 {
+	if run.Seed == 1 || run.Seed == 5 {
 		return LocalBackend{}.Run(ctx, run)
 	}
 	<-ctx.Done()
 	return BackendResult{}, ctx.Err()
+}
+
+// admissionScenario is the small clique every admission test runs, 4
+// repetitions at a time.
+const admissionScenario = `{"network":{"family":"clique","params":{"n":32}}}`
+
+// admissionRun renders a POST /v1/runs body of admissionScenario.
+func admissionRun(seed uint64) string {
+	return fmt.Sprintf(`{"scenario":%s,"reps":4,"seed":%d}`, admissionScenario, seed)
+}
+
+// planAdmission plans admissionScenario at seed exactly as POST /v1/runs
+// does on a service without a default stream.
+func planAdmission(t *testing.T, seed uint64) plannedCell {
+	t.Helper()
+	sc, err := engine.Parse([]byte(admissionScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := planRun(sc, seed, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pc
+}
+
+// writeAdmissionLedger writes a ledger of unsettled submissions into
+// stateDir: j00000001 at seed 9, j00000002 at seed 1, j00000003 and
+// j00000004 at seed 2, then the sweep s00000001 over seeds 1, 2 and 3.
+// Over a cache that holds the seed-1 result, a daemon replaying it admits
+// every rung of the ladder: j00000002 and s00000001.c000 are cache hits,
+// j00000004 and s00000001.c001 coalesce onto j00000003, and j00000001,
+// j00000003 and s00000001.c002 are queued.
+func writeAdmissionLedger(t *testing.T, stateDir string) {
+	t.Helper()
+	jr, err := store.OpenJournal(filepath.Join(stateDir, "service.journal"), func(store.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range []uint64{9, 1, 2, 2} {
+		pc := planAdmission(t, seed)
+		rec, err := (&job{id: fmt.Sprintf("j%08d", i+1), canonical: pc.canonical, reps: 4, seed: seed, submitted: testClock()}).ledgerRecord()
+		if err == nil {
+			err = jr.Append(rec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	req, err := json.Marshal(SweepRequest{Sweep: SweepSpec{Family: "clique", N: []int{32}, Seeds: []uint64{1, 2, 3}}, Reps: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := (&sweep{id: "s00000001", request: req, submitted: testClock()}).ledgerRecord()
+	if err == nil {
+		err = jr.Append(rec)
+	}
+	if err == nil {
+		err = jr.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // admission is one cell of the admission matrix: a job and the rung of the
@@ -120,24 +184,9 @@ func checkAdmission(t *testing.T, svc *Service, want admission) {
 // list the keys they queue in RecoveredKeys.
 func TestAdmissionMatrix(t *testing.T) {
 	cacheDir, stateDir := t.TempDir(), t.TempDir()
-	const scenario = `{"network":{"family":"clique","params":{"n":32}}}`
-	run := func(seed uint64) string {
-		return fmt.Sprintf(`{"scenario":%s,"reps":4,"seed":%d}`, scenario, seed)
-	}
-	plan := func(seed uint64) plannedCell {
-		sc, err := engine.Parse([]byte(scenario))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pc, err := planRun(sc, seed, 4, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pc
-	}
 	submit := func(url string, seed uint64, status int) string {
 		t.Helper()
-		got, body := do(t, http.MethodPost, url+"/v1/runs", run(seed))
+		got, body := do(t, http.MethodPost, url+"/v1/runs", admissionRun(seed))
 		if got != status {
 			t.Fatalf("submit seed %d returned %d, want %d: %s", seed, got, status, body)
 		}
@@ -162,7 +211,7 @@ func TestAdmissionMatrix(t *testing.T) {
 	}
 	sv, _ := svc.sweepView(decodeSweep(t, body).ID)
 	for i, seed := range []uint64{1, 9, 3} {
-		if k := plan(seed).key; sv.Cells[i].Key != k {
+		if k := planAdmission(t, seed).key; sv.Cells[i].Key != k {
 			t.Fatalf("sweep cell %d key %s, want the standalone key %s", i, sv.Cells[i].Key, k)
 		}
 	}
@@ -189,34 +238,7 @@ func TestAdmissionMatrix(t *testing.T) {
 	// seed-1 run whose result reached the disk cache before its settle
 	// record was lost, two seed-2 runs and a sweep over seeds 1, 2 and 3 —
 	// is replayed by a fresh daemon.
-	jr, err := store.OpenJournal(filepath.Join(stateDir, "service.journal"), func(store.Record) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range []uint64{9, 1, 2, 2} {
-		pc := plan(seed)
-		rec, err := (&job{id: fmt.Sprintf("j%08d", i+1), canonical: pc.canonical, reps: 4, seed: seed, submitted: testClock()}).ledgerRecord()
-		if err == nil {
-			err = jr.Append(rec)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	req, err := json.Marshal(SweepRequest{Sweep: SweepSpec{Family: "clique", N: []int{32}, Seeds: []uint64{1, 2, 3}}, Reps: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := (&sweep{id: "s00000001", request: req, submitted: testClock()}).ledgerRecord()
-	if err == nil {
-		err = jr.Append(rec)
-	}
-	if err == nil {
-		err = jr.Close()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	writeAdmissionLedger(t, stateDir)
 
 	svc, ts = startPersistServer(t, Config{Budget: 1, Backend: heldBackend{}, CacheDir: cacheDir, StateDir: stateDir, Logger: testLogger(t)})
 	defer stopPersistServer(svc, ts)
@@ -237,7 +259,7 @@ func TestAdmissionMatrix(t *testing.T) {
 	if m.Durability == nil || m.Durability.JobsRecovered != 4 || m.Sweeps == nil || m.Sweeps.Recovered != 1 {
 		t.Errorf("recovery counters: durability %+v, sweeps %+v; want 4 jobs and 1 sweep", m.Durability, m.Sweeps)
 	}
-	if got, want := svc.RecoveredKeys(), []string{plan(9).key, plan(2).key, plan(3).key}; !slices.Equal(got, want) {
+	if got, want := svc.RecoveredKeys(), []string{planAdmission(t, 9).key, planAdmission(t, 2).key, planAdmission(t, 3).key}; !slices.Equal(got, want) {
 		t.Errorf("RecoveredKeys = %v, want the queued recovered runs' keys %v", got, want)
 	}
 }
