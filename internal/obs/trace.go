@@ -6,11 +6,16 @@ import (
 	"time"
 )
 
-// The flight recorder: every run gets a Trace at submission, phases append
-// Spans as they happen, and GET /v1/runs/{id}/trace replays the timeline.
-// A trace caps its span count, counting overflow instead of growing, and
-// lives on its run's job record, so the service's job and sweep history
-// bounds how many traces a long-lived daemon keeps.
+// The flight recorder: every run gets a Trace at submission, phases the run's
+// record cannot restate append Spans as they happen (backend compilation and
+// execution, cluster leases and uploads), and GET /v1/runs/{id}/trace
+// replays the timeline, merging in the spans its caller renders from its own
+// record (the scheduler's submitted, queued, run and settled phases) rather
+// than storing. A trace caps its stored span count, counting overflow
+// instead of growing, and lives on its run's job record, so the service's
+// job and sweep history bounds how many traces a long-lived daemon keeps.
+// The service's sweep event streams are likewise rendered on read, from the
+// sweep's settled cells.
 
 // maxSpansPerTrace bounds one trace's timeline. A plain run records a
 // handful of spans; a large cluster run records a few per shard, so 1024
@@ -88,18 +93,20 @@ type SpanView struct {
 	DurationMS float64 `json:"duration_ms"`
 }
 
-// View renders the timeline. Spans are sorted by (start, name, worker,
-// detail) — concurrent appenders (shards settling in any order) race only
-// for slice position, so the sort makes the rendered timeline a pure
-// function of the set of spans recorded.
-func (t *Trace) View() TraceView {
-	if t == nil {
-		return TraceView{Spans: []SpanView{}}
+// View renders the timeline: the stored spans merged with phases, spans the
+// caller derives from its own record instead of storing them. Spans are
+// sorted by (start, name, worker, detail) — concurrent appenders (shards
+// settling in any order) race only for slice position, so the sort makes
+// the rendered timeline a pure function of the set of spans recorded.
+func (t *Trace) View(phases ...Span) TraceView {
+	spans := append([]Span(nil), phases...)
+	var v TraceView
+	if t != nil {
+		t.mu.Lock()
+		spans = append(spans, t.spans...)
+		v = TraceView{Trace: t.id, Run: t.run, DroppedSpans: t.dropped}
+		t.mu.Unlock()
 	}
-	t.mu.Lock()
-	spans := append([]Span(nil), t.spans...)
-	v := TraceView{Trace: t.id, Run: t.run, DroppedSpans: t.dropped}
-	t.mu.Unlock()
 	sort.SliceStable(spans, func(i, j int) bool {
 		a, b := spans[i], spans[j]
 		if !a.Start.Equal(b.Start) {

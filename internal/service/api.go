@@ -319,9 +319,10 @@ func (s *Service) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, view)
 }
 
-// handleSweepEvents serves the sweep's event log as server-sent events: one
-// "cell" event per settled cell (its summary byte-identical to the
-// standalone run's), then one final "sweep" event with the aggregate view.
+// handleSweepEvents serves the sweep's event log as server-sent events,
+// rendered from its settled cells: one "cell" event per settled cell (its
+// summary byte-identical to the standalone run's), then one final "sweep"
+// event with the aggregate view.
 // A subscriber connecting mid-sweep replays the log from the start before
 // following live settlements, so the stream is complete at any join time;
 // the stream ends once the sweep is terminal.
@@ -350,7 +351,12 @@ func (s *Service) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		for _, ev := range events {
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.id, ev.name, ev.data); err != nil {
+			data, err := json.Marshal(ev.v)
+			if err != nil {
+				s.log.Error("service: encode sweep event failed", "sweep", id, "event", ev.name, "err", err)
+				return
+			}
+			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.id, ev.name, data); err != nil {
 				return
 			}
 		}

@@ -452,23 +452,26 @@ func TestMaxReps(t *testing.T) {
 }
 
 // TestCoalesceInFlight: identical submissions arriving while the first is
-// still running never re-execute — they ride the leader and settle with the
-// same summary bytes.
+// still in flight never re-execute — they ride the leader and settle with
+// the same summary bytes. The gate holds the leader in flight until the
+// follower has coalesced.
 func TestCoalesceInFlight(t *testing.T) {
-	svc, ts := newTestServer(t, Config{Budget: 1, Clock: time.Now})
+	gate := &gateBackend{release: make(chan struct{})}
+	svc, ts := newTestServer(t, Config{Budget: 1, Backend: gate, Clock: time.Now})
 
-	body := `{"scenario":{"network":{"family":"clique","params":{"n":256}}},"reps":2000,"seed":4}`
+	body := `{"scenario":{"network":{"family":"clique","params":{"n":64}}},"reps":16,"seed":4}`
 	_, first := do(t, http.MethodPost, ts.URL+"/v1/runs", body)
 	leaderID := decodeJob(t, first).ID
 
 	// Respelled but canonically identical — must coalesce, not enqueue.
-	respelled := `{"seed":4,"reps":2000,"scenario":{"protocol":"async","network":{"params":{"n":2.56e2},"family":"clique"}}}`
+	respelled := `{"seed":4,"reps":16,"scenario":{"protocol":"async","network":{"params":{"n":6.4e1},"family":"clique"}}}`
 	_, second := do(t, http.MethodPost, ts.URL+"/v1/runs", respelled)
 	follower := decodeJob(t, second)
 	if follower.State != StateQueued || follower.CoalescedWith != leaderID {
 		t.Fatalf("follower response %s, want queued coalesced with %s", second, leaderID)
 	}
 
+	close(gate.release)
 	lv := waitState(t, ts.URL, leaderID, StateDone)
 	fv := waitState(t, ts.URL, follower.ID, StateDone)
 	if !bytes.Equal(lv.Summary, fv.Summary) {
@@ -478,8 +481,8 @@ func TestCoalesceInFlight(t *testing.T) {
 	if m.Cache.Coalesced != 1 {
 		t.Fatalf("coalesced counter = %d, want 1", m.Cache.Coalesced)
 	}
-	if m.Throughput.RepsDone != 2000 {
-		t.Fatalf("reps_done = %d, want 2000 (follower must not re-execute)", m.Throughput.RepsDone)
+	if m.Throughput.RepsDone != int64(lv.Reps) {
+		t.Fatalf("reps_done = %d, want %d (follower must not re-execute)", m.Throughput.RepsDone, lv.Reps)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -77,9 +78,11 @@ type job struct {
 	cellLabel string
 	compile   *engine.CompileSet
 
-	// trace is the job's flight-recorder timeline (see internal/obs): phase
-	// spans from submission to settlement, plus per-shard spans in cluster
-	// mode. Never nil: newJobLocked opens it.
+	// trace is the job's flight-recorder timeline (see internal/obs). It
+	// stores only the spans this record cannot restate — backend compile and
+	// execute spans, per-shard spans in cluster mode, coalesced and
+	// recovered marks — while phaseSpans renders the scheduler's phases from
+	// the record. Never nil: newJobLocked opens it.
 	trace *obs.Trace
 
 	workers         int
@@ -246,6 +249,28 @@ func (j *job) view() JobView {
 		v.RepsDone = int64(j.reps)
 	}
 	return v
+}
+
+// phaseSpans renders the scheduler's phases of the job's timeline from its
+// record, for merging with the stored spans when the trace is served:
+// submitted always; then either cache-hit, or queued once the job was
+// dispatched (only a dispatched job has a worker grant) and run and settled
+// once that run is terminal. Coalesced followers settle with their leader
+// and carry no run of their own. Callers hold the service mutex.
+func (j *job) phaseSpans() []obs.Span {
+	spans := []obs.Span{{Name: "submitted", Detail: fmt.Sprintf("reps=%d seed=%d", j.reps, j.seed), Start: j.submitted, End: j.submitted}}
+	switch {
+	case j.cacheHit:
+		spans = append(spans, obs.Span{Name: "cache-hit", Start: j.started, End: j.started})
+	case j.workers > 0:
+		spans = append(spans, obs.Span{Name: "queued", Start: j.submitted, End: j.started})
+		if j.state.Terminal() {
+			spans = append(spans,
+				obs.Span{Name: "run", Detail: fmt.Sprintf("workers=%d", j.workers), Start: j.started, End: j.finished},
+				obs.Span{Name: "settled", Detail: string(j.state), Start: j.finished, End: j.finished})
+		}
+	}
+	return spans
 }
 
 // coalescedID names a follower's leader for the API; empty otherwise.

@@ -155,8 +155,8 @@ func (s *Service) recoverSweep(sr sweepRecord) {
 	sw.journaled = true
 	s.nextSweepID = max(s.nextSweepID, idNumber(sr.ID, "s"))
 	s.sweepsRecovered++
-	s.startSweepLocked(sw, cells, now, true)
-	s.log.Info("service: recovery: sweep re-adopted", "sweep", sw.id, "cells", sw.total, "settled", sw.settled)
+	s.startSweepLocked(sw, cells, nil, now, true)
+	s.log.Info("service: recovery: sweep re-adopted", "sweep", sw.id, "cells", sw.total, "settled", len(sw.settled))
 }
 
 // recoverJob re-adopts one journalled, unsettled submission under its

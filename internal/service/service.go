@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dynamicrumor/internal/buildinfo"
+	"dynamicrumor/internal/engine"
 	"dynamicrumor/internal/obs"
 	"dynamicrumor/internal/runner"
 	"dynamicrumor/internal/sim"
@@ -43,10 +44,13 @@ type Config struct {
 	// untouched.
 	DefaultStream int
 	// HistoryLimit bounds the retained terminal job records (<= 0 selects
-	// 4096): beyond it the oldest finished jobs are forgotten, so a
-	// long-lived daemon's memory does not grow with lifetime submissions.
-	// Queued and running jobs are never evicted, and the bound is amortized —
-	// the history may transiently overshoot by up to 1/8 before a prune.
+	// 4096), so a long-lived daemon's memory does not grow with lifetime
+	// submissions. The bounds are amortized, each overshooting by up to 1/8
+	// before a prune: up to 9/8·HistoryLimit terminal plain jobs are kept,
+	// the oldest forgotten first, plus up to 9/8·max(16, HistoryLimit/8)
+	// terminal sweeps with all their cells (up to 4096 each), which count
+	// against the sweep bound instead. Queued and running jobs and
+	// unfinished sweeps are never evicted.
 	HistoryLimit int
 	// Backend executes dispatched runs (nil selects LocalBackend — in-process
 	// execution on the batch engine). The cluster coordinator plugs in here to
@@ -339,7 +343,7 @@ func (s *Service) admissibleLocked(need int, client string, now time.Time) error
 // admitLocked registers the job. Callers hold the mutex.
 func (s *Service) newJobLocked(id string, pc plannedCell, reps int, submitted time.Time) *job {
 	s.submitSeq++
-	j := &job{
+	return &job{
 		id:        id,
 		seq:       s.submitSeq,
 		scenario:  pc.sc,
@@ -351,13 +355,6 @@ func (s *Service) newJobLocked(id string, pc plannedCell, reps int, submitted ti
 		submitted: submitted,
 		trace:     obs.NewTrace("tr-"+id, id),
 	}
-	j.trace.Add(obs.Span{
-		Name:   "submitted",
-		Detail: fmt.Sprintf("reps=%d seed=%d", reps, pc.seed),
-		Start:  submitted,
-		End:    submitted,
-	})
-	return j
 }
 
 // admitLocked registers a job and sends it down the admission ladder that
@@ -382,7 +379,6 @@ func (s *Service) admitLocked(j *job, cached json.RawMessage, hit bool, now time
 		j.cacheHit = true
 		j.started, j.finished = now, now
 		j.summary = cached
-		j.trace.Add(obs.Span{Name: "cache-hit", Start: now, End: now})
 		s.markTerminalLocked(j)
 		s.pruneHistoryLocked()
 	case leader != nil:
@@ -457,9 +453,12 @@ func (s *Service) pruneHistoryLocked() {
 // markTerminalLocked records a job's entry into a terminal state: plain jobs
 // feed the history accounting, sweep cells feed their sweep's settlement
 // tracking instead (cells are retained and pruned with the sweep, so they
-// never count against the plain-job history bound). Callers hold the mutex,
-// and call this exactly once per job, at its terminal transition.
+// never count against the plain-job history bound). The parsed scenario is
+// dropped: a settled job never runs again, and its views and ledger record
+// serve the canonical encoding. Callers hold the mutex, and call this
+// exactly once per job, at its terminal transition.
 func (s *Service) markTerminalLocked(j *job) {
+	j.scenario = engine.Scenario{}
 	if j.sweep == nil {
 		s.terminal++
 	}
@@ -503,7 +502,6 @@ func (s *Service) dispatch() {
 		j.workers = workers
 		j.state = StateRunning
 		j.started = s.clock()
-		j.trace.Add(obs.Span{Name: "queued", Start: j.submitted, End: j.started})
 		s.histQueueWait.Observe(j.started.Sub(j.submitted))
 		ctx, cancel := context.WithCancel(s.baseCtx)
 		j.cancel = cancel
@@ -568,8 +566,6 @@ func (s *Service) runJob(j *job, ctx context.Context, cancel context.CancelFunc,
 		j.state = StateFailed
 		j.errMsg = err.Error()
 	}
-	j.trace.Add(obs.Span{Name: "run", Detail: fmt.Sprintf("workers=%d", workers), Start: j.started, End: j.finished})
-	j.trace.Add(obs.Span{Name: "settled", Detail: string(j.state), Start: j.finished, End: j.finished})
 	if j.state == StateDone {
 		s.histRun.Observe(j.finished.Sub(j.started))
 	}
@@ -958,14 +954,20 @@ func (s *Service) health() HealthResponse {
 	return h
 }
 
-// traceView fetches one run's flight-recorder timeline by job ID. The trace
-// lives on the job record, so it is available as long as the job is.
+// traceView fetches one run's flight-recorder timeline by job ID: the spans
+// its trace stored, merged with the scheduler phases rendered from the job
+// record. Both live on the record, so the timeline is available as long as
+// the job is.
 func (s *Service) traceView(id string) (obs.TraceView, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
+	var phases []obs.Span
+	if ok {
+		phases = j.phaseSpans()
+	}
 	s.mu.Unlock()
-	if !ok || j.trace == nil {
+	if !ok {
 		return obs.TraceView{}, false
 	}
-	return j.trace.View(), true
+	return j.trace.View(phases...), true
 }

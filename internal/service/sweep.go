@@ -203,7 +203,8 @@ func planSweep(req SweepRequest, defaultStream int) ([]plannedCell, error) {
 	return cells, nil
 }
 
-// sweep is the service-internal record of one planned grid. All fields are
+// sweep is the service-internal record of one planned grid. Its SSE log is
+// not stored but rendered from its settled cells on read. All fields are
 // guarded by the service mutex.
 type sweep struct {
 	id      string
@@ -218,8 +219,13 @@ type sweep struct {
 	reps          int
 	total         int
 	cells         []*job
-	settled       int
-	cacheHits     int
+	// settled holds the terminal cells in settlement order. It is the SSE
+	// log: sweepEventsAfter renders event k as the k-th settled cell's
+	// "cell" event and, once the sweep is terminal, event total+1 as the
+	// final "sweep" event. Append-only, and settled cells never change, so
+	// the log is rendered on read instead of stored.
+	settled   []*job
+	cacheHits int
 	// compile is the shared compile set every cell of this sweep routes its
 	// scenario compilation through; released when the sweep finalizes.
 	compile  *engine.CompileSet
@@ -229,18 +235,17 @@ type sweep struct {
 	submitted time.Time
 	finished  time.Time
 
-	// events is the append-only SSE log: one "cell" event per settled cell
-	// and a final "sweep" event. Subscribers replay it from their cursor and
-	// then follow via their wake channel.
-	events []sweepEvent
-	subs   map[chan struct{}]struct{}
+	// subs are the event-stream subscribers' wake channels: each replays the
+	// log from its cursor and then follows as cells settle.
+	subs map[chan struct{}]struct{}
 }
 
-// sweepEvent is one rendered server-sent event.
+// sweepEvent is one server-sent event: its ID, its name and the document
+// its data line encodes.
 type sweepEvent struct {
 	id   int
 	name string
-	data []byte
+	v    any
 }
 
 // SweepCellView is one cell of the aggregate table.
@@ -327,19 +332,16 @@ func (s *Service) submitSweep(req SweepRequest, cells []plannedCell, client stri
 	}
 	now := s.clock()
 	need := 0
-	seen := make(map[string]bool, len(cells))
+	looked := make(map[string]cacheLookup, len(cells))
 	for _, pc := range cells {
-		if seen[pc.key] {
+		if _, ok := looked[pc.key]; ok {
 			continue
 		}
-		seen[pc.key] = true
-		if _, ok := s.lookupCacheLocked(pc.key); ok {
-			continue
+		summary, hit := s.lookupCacheLocked(pc.key)
+		looked[pc.key] = cacheLookup{summary, hit}
+		if !hit && s.inflight[pc.key] == nil {
+			need++
 		}
-		if _, ok := s.inflight[pc.key]; ok {
-			continue
-		}
-		need++
 	}
 	if need > 0 {
 		if err := s.admissibleLocked(need, client, now); err != nil {
@@ -354,7 +356,7 @@ func (s *Service) submitSweep(req SweepRequest, cells []plannedCell, client stri
 	}
 	s.nextSweepID++
 	s.sweepsSubmitted++
-	s.startSweepLocked(sw, cells, now, false)
+	s.startSweepLocked(sw, cells, looked, now, false)
 	return s.sweepViewLocked(sw, false), nil
 }
 
@@ -371,23 +373,37 @@ func (s *Service) newSweepLocked(sr sweepRecord, req SweepRequest, total int) *s
 		defaultStream: sr.DefaultStream,
 		reps:          req.Reps,
 		total:         total,
+		cells:         make([]*job, 0, total),
+		settled:       make([]*job, 0, total),
 		compile:       engine.NewCompileSet(),
 		submitted:     sr.SubmittedAt,
 	}
 }
 
+// cacheLookup is the result of one result-cache lookup.
+type cacheLookup struct {
+	summary json.RawMessage
+	hit     bool
+}
+
 // startSweepLocked registers a sweep and admits its cells in planning order,
-// each an ordinary job owned by the sweep. A sweep without cells finalizes
-// at once. Callers hold the mutex.
-func (s *Service) startSweepLocked(sw *sweep, cells []plannedCell, now time.Time, recovered bool) {
+// each an ordinary job owned by the sweep. A cell whose key is in looked
+// reuses that lookup — submitSweep already consulted the cache for every
+// distinct key to count new work — and any other cell (every cell of a
+// recovered sweep) looks its key up once here. A sweep without cells
+// finalizes at once. Callers hold the mutex.
+func (s *Service) startSweepLocked(sw *sweep, cells []plannedCell, looked map[string]cacheLookup, now time.Time, recovered bool) {
 	s.sweeps[sw.id] = sw
 	s.sweepOrder = append(s.sweepOrder, sw.id)
 	for i, pc := range cells {
 		j := s.newJobLocked(fmt.Sprintf("%s.c%03d", sw.id, i), pc, sw.reps, now)
 		j.sweep, j.compile = sw, sw.compile
 		sw.cells = append(sw.cells, j)
-		cached, hit := s.lookupCacheLocked(pc.key)
-		s.admitLocked(j, cached, hit, now, recovered)
+		l, ok := looked[pc.key]
+		if !ok {
+			l.summary, l.hit = s.lookupCacheLocked(pc.key)
+		}
+		s.admitLocked(j, l.summary, l.hit, now, recovered)
 	}
 	if sw.total == 0 {
 		s.finalizeSweepLocked(sw)
@@ -395,32 +411,27 @@ func (s *Service) startSweepLocked(sw *sweep, cells []plannedCell, now time.Time
 }
 
 // noteCellSettledLocked records one cell's terminal transition on its sweep:
-// the cell event is appended, subscribers are woken, and the sweep finalizes
-// once every cell has settled. Callers hold the mutex.
+// the cell joins the settled log, the sweep finalizes once every cell has
+// settled, and subscribers are woken to render the new events. Callers hold
+// the mutex.
 func (s *Service) noteCellSettledLocked(j *job) {
 	sw := j.sweep
 	if sw == nil {
 		return
 	}
-	sw.settled++
 	if j.cacheHit {
 		sw.cacheHits++
 	}
 	j.compile = nil
-	ev := sweepCellEvent{
-		Sweep:    sw.id,
-		Cell:     j.cellLabel,
-		Run:      j.id,
-		State:    j.state,
-		Settled:  sw.settled,
-		Total:    sw.total,
-		CacheHit: j.cacheHit,
-		Error:    j.errMsg,
-		Summary:  j.summary,
-	}
-	s.appendSweepEventLocked(sw, "cell", ev)
-	if sw.settled == sw.total {
+	sw.settled = append(sw.settled, j)
+	if len(sw.settled) == sw.total {
 		s.finalizeSweepLocked(sw)
+	}
+	for ch := range sw.subs {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -452,25 +463,7 @@ func (s *Service) finalizeSweepLocked(sw *sweep) {
 		// unfinished cells on restart.
 		s.journalSettleLocked(sw.id, sw.journaled)
 	}
-	s.appendSweepEventLocked(sw, "sweep", s.sweepViewLocked(sw, false))
 	s.pruneSweepsLocked()
-}
-
-// appendSweepEventLocked renders one SSE event onto the sweep's log and
-// wakes every subscriber. Callers hold the mutex.
-func (s *Service) appendSweepEventLocked(sw *sweep, name string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		s.log.Error("service: encode sweep event failed", "sweep", sw.id, "event", name, "err", err)
-		return
-	}
-	sw.events = append(sw.events, sweepEvent{id: len(sw.events) + 1, name: name, data: data})
-	for ch := range sw.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // sweepViewLocked renders a sweep for the API; the cell table is included
@@ -482,7 +475,7 @@ func (s *Service) sweepViewLocked(sw *sweep, withCells bool) SweepView {
 		State:          sw.state,
 		Reps:           sw.reps,
 		Total:          sw.total,
-		Settled:        sw.settled,
+		Settled:        len(sw.settled),
 		CacheHits:      sw.cacheHits,
 		SharedNetworks: sw.networks,
 		SubmittedAt:    rfc3339(sw.submitted),
@@ -573,21 +566,45 @@ func (s *Service) cancelSweep(id string) (SweepView, error) {
 	return v, nil
 }
 
-// sweepEventsAfter snapshots the sweep's event log past the cursor, plus
-// whether the stream is finished (sweep terminal or service closed). The
-// returned slice aliases the append-only log, which is never mutated in
-// place, so reading it without the lock is safe.
+// sweepEventsAfter renders the sweep's events past the cursor, plus whether
+// the stream is finished (sweep terminal or service closed): the "cell"
+// event of each cell settled since, then the final "sweep" event once the
+// sweep is terminal. The mutex is held only to snapshot the settled log and
+// the final view. The snapshot aliases the append-only log, and a settled
+// cell never changes, so its event renders without the lock.
 func (s *Service) sweepEventsAfter(id string, cursor int) (events []sweepEvent, finished, ok bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	sw, exists := s.sweeps[id]
 	if !exists {
+		s.mu.Unlock()
 		return nil, false, false
 	}
-	if cursor < len(sw.events) {
-		events = sw.events[cursor:]
+	settled := sw.settled
+	var final *SweepView
+	if sw.state.Terminal() {
+		v := s.sweepViewLocked(sw, false)
+		final = &v
 	}
-	return events, sw.state.Terminal() || s.closed, true
+	finished = final != nil || s.closed
+	s.mu.Unlock()
+	for k := cursor; k < len(settled); k++ {
+		c := settled[k]
+		events = append(events, sweepEvent{id: k + 1, name: "cell", v: sweepCellEvent{
+			Sweep:    sw.id,
+			Cell:     c.cellLabel,
+			Run:      c.id,
+			State:    c.state,
+			Settled:  k + 1,
+			Total:    sw.total,
+			CacheHit: c.cacheHit,
+			Error:    c.errMsg,
+			Summary:  c.summary,
+		}})
+	}
+	if final != nil && cursor <= len(settled) {
+		events = append(events, sweepEvent{id: len(settled) + 1, name: "sweep", v: final})
+	}
+	return events, finished, true
 }
 
 // subscribeSweep registers a wake channel on the sweep's event log.

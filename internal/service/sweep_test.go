@@ -213,6 +213,24 @@ func TestSweepReusesResultCache(t *testing.T) {
 	}
 }
 
+// TestSweepLooksEachCellUpOnce: the cache lookup that counts a sweep's new
+// work also admits each cell, so a sweep of new keys on a disk-cached
+// service reads one disk miss and one cache_lookup observation per cell.
+func TestSweepLooksEachCellUpOnce(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Budget: 1, Backend: heldBackend{}, CacheDir: t.TempDir()})
+	status, body := do(t, http.MethodPost, ts.URL+"/v1/sweeps", `{"sweep":{"family":"clique","n":[32],"seeds":[2,3,4,6]},"reps":4}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("sweep submit returned %d: %s", status, body)
+	}
+	m := svc.metrics()
+	if misses := m.Durability.DiskCache.Misses; misses != 4 {
+		t.Errorf("a 4-cell sweep of new keys read %d disk cache misses, want 4", misses)
+	}
+	if n := m.Latency["cache_lookup"].Count; n != 4 {
+		t.Errorf("a 4-cell sweep of new keys made %d cache lookups, want 4", n)
+	}
+}
+
 // TestSweepEventsGolden pins the SSE stream byte-for-byte: a subscriber
 // joining after completion replays one "cell" event per cell, in settlement
 // order, then the final "sweep" event — each cell summary identical to the
