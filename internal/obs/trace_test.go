@@ -90,3 +90,33 @@ func TestNilTraceIsSafe(t *testing.T) {
 		t.Errorf("nil view spans = %d, want 0", len(v.Spans))
 	}
 }
+
+// TestTraceViewMergesPhases: the caller's phase spans are rendered with the
+// stored ones in one sorted timeline, are never stored, and render on a nil
+// trace too.
+func TestTraceViewMergesPhases(t *testing.T) {
+	base := time.Date(2026, 7, 28, 12, 0, 0, 0, time.UTC)
+	tr := NewTrace("tr1", "j1")
+	tr.Add(Span{Name: "execute", Start: base.Add(time.Millisecond), End: base.Add(2 * time.Millisecond)})
+	phases := []Span{
+		{Name: "settled", Start: base.Add(3 * time.Millisecond), End: base.Add(3 * time.Millisecond)},
+		{Name: "submitted", Start: base, End: base},
+	}
+	var names []string
+	for _, s := range tr.View(phases...).Spans {
+		names = append(names, s.Name)
+	}
+	if fmt.Sprint(names) != "[submitted execute settled]" {
+		t.Errorf("merged timeline %v, want [submitted execute settled]", names)
+	}
+	if n := len(tr.View().Spans); n != 1 {
+		t.Errorf("view without phases has %d spans, want the 1 stored", n)
+	}
+	if phases[0].Name != "settled" {
+		t.Errorf("View reordered the caller's phases: %v", phases)
+	}
+	var nilTrace *Trace
+	if v := nilTrace.View(phases...); len(v.Spans) != 2 || v.Spans[0].Name != "submitted" {
+		t.Errorf("nil trace view %+v, want the 2 phases in start order", v.Spans)
+	}
+}
